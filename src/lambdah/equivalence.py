@@ -239,9 +239,12 @@ def theorem_check(
     Head reduction of U[J/H] simulates each J-step of the machine by a
     short burst of t-steps (unfolding the fixed point), so that side
     receives ``j_fuel_ratio`` times the fuel.  ``agree`` compares the
-    two substitution verdicts; a fuel-exhausted side agrees vacuously,
-    and both-unknown rows are tallied separately in reports.  A machine
-    side that outgrows the state budget counts as unknown.
+    two substitution verdicts: it holds when both sides reach a head
+    normal form or both run out of fuel.  A side that runs out of fuel
+    while the other reaches one is therefore reported as a
+    disagreement, although running out of fuel alone says nothing about
+    solvability.  Both-unknown rows are tallied separately in reports.
+    A machine side that outgrows the state budget counts as unknown.
     """
     verdict_i = run(subst_const_h(u, I), Strategy.T_HEAD, fuel)
     verdict_j = run(subst_const_h(u, J), Strategy.T_HEAD, fuel * j_fuel_ratio)

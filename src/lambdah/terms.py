@@ -5,6 +5,14 @@ binder; free variables of a term taken in context ``k`` are the indices
 ``depth .. depth + k - 1`` at each occurrence.  Alpha equivalence is
 therefore plain structural equality.
 
+Every node carries ``fv``, fixed when it is built: one more than the
+largest index free in it, or 0 if it is closed (``Var(i).fv == i + 1``,
+``Abs(b).fv == max(b.fv - 1, 0)``, ``App(f, a).fv == max(f.fv, a.fv)``,
+``H.fv == 0``).  ``fv`` is not part of a term's identity: equality,
+hashing and repr ignore it.  Shifting and substitution read it to hand
+back, by identity, every subterm they cannot change, so a closed value
+is never copied.
+
 The spine view decomposes a term as ``lam x1 .. xb. h a1 .. an`` where
 the head ``h`` is a variable, the constant H, or a beta redex whose
 operator is an abstraction.  Exactly one of the three cases applies, and
@@ -15,32 +23,138 @@ to do, not a result).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable
 
 
 # ---------- term constructors ----------
 
+# The constructors are hand-written ``__slots__`` classes rather than
+# frozen dataclasses so that ``fv`` can be filled in at construction
+# without a ``__post_init__`` pass.  Fields are set through the slot
+# descriptors, which keeps the classes immutable at about the cost of a
+# dataclass constructor.  Equality, hashing, repr and ``__match_args__``
+# behave as a frozen dataclass's would; ``fv`` takes part in none of them.
 
-@dataclass(frozen=True, slots=True)
-class Var:
+
+class _Node:
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Var(_Node):
+    __slots__ = ("index", "fv")
+    __match_args__ = ("index",)
     index: int
+    fv: int
+
+    def __init__(self, index: int) -> None:
+        _set_var_index(self, index)
+        _set_var_fv(self, index + 1)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.index == other.index
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.index,))
+
+    def __repr__(self) -> str:
+        return f"Var(index={self.index!r})"
+
+    def __reduce__(self):
+        return Var, (self.index,)
 
 
-@dataclass(frozen=True, slots=True)
-class Abs:
+class Abs(_Node):
+    __slots__ = ("body", "fv")
+    __match_args__ = ("body",)
     body: "Term"
+    fv: int
+
+    def __init__(self, body: "Term") -> None:
+        _set_abs_body(self, body)
+        fv = body.fv
+        _set_abs_fv(self, fv - 1 if fv else 0)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            b, c = self.body, other.body
+            return b is c or b == c
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.body,))
+
+    def __repr__(self) -> str:
+        return f"Abs(body={self.body!r})"
+
+    def __reduce__(self):
+        return Abs, (self.body,)
 
 
-@dataclass(frozen=True, slots=True)
-class App:
+class App(_Node):
+    __slots__ = ("fun", "arg", "fv")
+    __match_args__ = ("fun", "arg")
     fun: "Term"
     arg: "Term"
+    fv: int
+
+    def __init__(self, fun: "Term", arg: "Term") -> None:
+        _set_app_fun(self, fun)
+        _set_app_arg(self, arg)
+        f, a = fun.fv, arg.fv
+        _set_app_fv(self, f if f > a else a)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            f, g, a, b = self.fun, other.fun, self.arg, other.arg
+            return (f is g or f == g) and (a is b or a == b)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.fun, self.arg))
+
+    def __repr__(self) -> str:
+        return f"App(fun={self.fun!r}, arg={self.arg!r})"
+
+    def __reduce__(self):
+        return App, (self.fun, self.arg)
 
 
-@dataclass(frozen=True, slots=True)
-class ConstH:
-    pass
+class ConstH(_Node):
+    __slots__ = ()
+    __match_args__ = ()
+    fv = 0
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
+
+    def __repr__(self) -> str:
+        return "ConstH()"
+
+    def __reduce__(self):
+        return ConstH, ()
+
+
+_set_var_index = Var.index.__set__
+_set_var_fv = Var.fv.__set__
+_set_abs_body = Abs.body.__set__
+_set_abs_fv = Abs.fv.__set__
+_set_app_fun = App.fun.__set__
+_set_app_arg = App.arg.__set__
+_set_app_fv = App.fv.__set__
 
 
 Term = Var | Abs | App | ConstH
@@ -74,24 +188,16 @@ def size(t: Term) -> int:
 
 def max_free_index(t: Term, depth: int = 0) -> int:
     """Largest free index relative to ``depth``, or -1 if t is closed."""
-    match t:
-        case Var(i):
-            return i - depth if i >= depth else -1
-        case Abs(body):
-            return max_free_index(body, depth + 1)
-        case App(fun, arg):
-            return max(max_free_index(fun, depth), max_free_index(arg, depth))
-        case _:
-            return -1
+    return max(t.fv - depth, 0) - 1
 
 
 def is_closed(t: Term) -> bool:
-    return max_free_index(t) < 0
+    return t.fv == 0
 
 
 def is_well_scoped(t: Term, free_vars: int) -> bool:
     """True if every variable is bound or one of ``free_vars`` ambient indices."""
-    return max_free_index(t) < free_vars
+    return t.fv <= free_vars
 
 
 # ---------- application spine helpers ----------
@@ -203,10 +309,15 @@ def is_hnf(t: Term) -> bool:
 
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
-    """Add ``by`` to every variable index >= cutoff (free at that depth)."""
+    """Add ``by`` to every variable index >= cutoff (free at that depth).
+
+    A subterm with no index at or above the cutoff comes back as itself.
+    """
+    if by == 0 or t.fv <= cutoff:
+        return t
     match t:
         case Var(i):
-            return Var(i + by) if i >= cutoff else t
+            return Var(i + by)
         case Abs(body):
             return Abs(shift(body, by, cutoff + 1))
         case App(fun, arg):
@@ -216,12 +327,16 @@ def shift(t: Term, by: int, cutoff: int = 0) -> Term:
 
 
 def _subst(t: Term, depth: int, value: Term) -> Term:
+    # every index free in t is below the substituted one: nothing to
+    # replace and nothing to decrement
+    if t.fv <= depth:
+        return t
     match t:
         case Var(i):
             if i == depth:
                 return shift(value, depth)
             # one binder disappears, so free indices above it slide down
-            return Var(i - 1) if i > depth else t
+            return Var(i - 1)
         case Abs(body):
             return Abs(_subst(body, depth + 1, value))
         case App(fun, arg):

@@ -145,6 +145,13 @@ def test_check_runs_the_full_suite(capsys):
     assert out[-1].startswith("ok: 16 checks over ")
 
 
+def test_check_random_seed_with_a_growing_state(capsys):
+    # seed 334 draws (\x.x x) (\y.H y y), whose J side in
+    # context_agreement runs 6,000 t-steps on a state that keeps growing
+    assert main(["check", "--max-size", "0", "--seed", "334"]) == 0
+    assert lines(capsys)[-1] == "ok: 16 checks over 150 terms"
+
+
 def test_check_suite_filter(capsys):
     code = main(["check", "--suite", "extraction", "--max-size", "3", "--count", "0"])
     assert code == 0
@@ -200,6 +207,18 @@ def test_corpus_j_fuel_ratio_flag(capsys, tmp_path):
     path.write_text("H Omega\n")
     assert main(["corpus", str(path), "--fuel", "50", "--j-fuel-ratio", "1"]) == 0
     assert lines(capsys)[0] == "H Omega: I=unknown(50) J=unknown(50) agree"
+
+
+def test_corpus_reports_a_fuel_exhausted_side_as_a_disagreement(capsys, tmp_path):
+    # the J side needs more than one t-step to unfold the fixed point;
+    # running out of fuel there is reported as DISAGREE, not as unknown
+    path = tmp_path / "contexts.txt"
+    path.write_text("H w\n")
+    assert main(["corpus", str(path), "--fuel", "1", "--j-fuel-ratio", "1"]) == 1
+    assert lines(capsys) == [
+        "H w: I=hnf(1) J=unknown(1) DISAGREE",
+        "1 contexts, 1 disagreements, 0 both-unknown",
+    ]
 
 
 def test_corpus_handles_a_diverging_duplicator(capsys, tmp_path):

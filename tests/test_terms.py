@@ -1,6 +1,11 @@
 """Core term tests: spine views, hnf, substitution, H replacement."""
 
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambdah.gen import enumerate_terms
 from lambdah.syntax import parse_term
@@ -141,24 +146,40 @@ def test_substitute_drops_vanished_binder_index():
     assert substitute(body, H) == Abs(Var(1))
 
 
-def test_substitute_matches_named_oracle_on_enumerated_redexes():
-    def redexes(t):
-        match t:
-            case App(Abs(body), value):
-                yield body, value
-        match t:
-            case App(fun, arg):
-                yield from redexes(fun)
-                yield from redexes(arg)
-            case Abs(body):
-                yield from redexes(body)
+def _redexes(t):
+    match t:
+        case App(Abs(body), value):
+            yield body, value
+    match t:
+        case App(fun, arg):
+            yield from _redexes(fun)
+            yield from _redexes(arg)
+        case Abs(body):
+            yield from _redexes(body)
 
+
+def test_substitute_matches_named_oracle_on_enumerated_redexes():
     checked = 0
     for t in enumerate_terms(7):
-        for body, value in redexes(t):
+        for body, value in _redexes(t):
             assert substitute(body, value) == oracle_substitute(body, value)
             checked += 1
     assert checked > 300
+
+
+def test_substitute_matches_named_oracle_on_open_redexes():
+    # open values must be shifted under binders, and free indices of the
+    # body above the consumed binder must slide down by one
+    checked = open_values = decremented = 0
+    for t in enumerate_terms(7, free_vars=2):
+        for body, value in _redexes(t):
+            assert substitute(body, value) == oracle_substitute(body, value)
+            checked += 1
+            open_values += not is_closed(value)
+            decremented += max_free_index(body) > 0
+    assert checked > 1000
+    assert open_values > 500
+    assert decremented > 500
 
 
 def test_shift_only_touches_free_indices():
@@ -200,3 +221,118 @@ def test_scoping_helpers():
     assert not is_well_scoped(term("x y"), 1)
     for t in enumerate_terms(5, free_vars=2):
         assert is_well_scoped(t, 2)
+
+
+# ---------- the free-index bound ----------
+
+
+def reference_fv(t, depth=0):
+    """One more than the largest index free in t below ``depth`` binders."""
+    match t:
+        case Var(i):
+            return i - depth + 1 if i >= depth else 0
+        case Abs(body):
+            return reference_fv(body, depth + 1)
+        case App(fun, arg):
+            return max(reference_fv(fun, depth), reference_fv(arg, depth))
+        case _:
+            return 0
+
+
+leaves = st.one_of(st.just(H), st.builds(Var, st.integers(0, 5)))
+
+
+@st.composite
+def deep_terms(draw):
+    # a long chain of binders and applications around a single spine
+    t = draw(leaves)
+    for step in draw(st.lists(st.sampled_from("bfa"), max_size=800)):
+        if step == "b":
+            t = Abs(t)
+        elif step == "f":
+            t = App(t, draw(leaves))
+        else:
+            t = App(draw(leaves), t)
+    return t
+
+
+wide_terms = st.recursive(
+    leaves,
+    lambda sub: st.one_of(st.builds(Abs, sub), st.builds(App, sub, sub)),
+    max_leaves=200,
+)
+
+
+def test_fv_matches_reference_on_enumerated_terms():
+    for t in enumerate_terms(7, free_vars=2):
+        assert t.fv == reference_fv(t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(deep_terms(), wide_terms))
+def test_fv_matches_reference_on_drawn_terms(t):
+    assert t.fv == reference_fv(t)
+    assert max_free_index(t) == reference_fv(t) - 1
+    assert is_closed(t) == (reference_fv(t) == 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(deep_terms(), wide_terms), st.integers(0, 3), st.integers(0, 3))
+def test_shift_keeps_fv_consistent(t, by, cutoff):
+    shifted = shift(t, by, cutoff)
+    assert shifted.fv == reference_fv(shifted)
+    if reference_fv(t) <= cutoff:
+        assert shifted is t
+
+
+def test_shift_returns_closed_terms_unchanged():
+    for t in enumerate_terms(6):
+        for by in (0, 1, 3):
+            assert shift(t, by) is t
+
+
+def test_substitute_holds_a_closed_value_by_identity():
+    value = term("\\x y.x")
+    # \z.x (x z): the value is carried under one binder and used twice
+    body = Abs(App(Var(1), App(Var(1), Var(0))))
+    result = substitute(body, value)
+    assert result == Abs(App(value, App(value, Var(0))))
+    assert result.body.fun is value
+    assert result.body.arg.fun is value
+
+
+def test_substitute_returns_untouched_subterms_by_identity():
+    # a subterm whose free indices all stay below the depth it sits at
+    # holds neither the substituted index nor one to decrement
+    value = Var(2)
+    for t in enumerate_terms(5, free_vars=3):
+        body = t
+        for depth in range(4):
+            result = substitute(body, value)
+            inner = result
+            for _ in range(depth):
+                inner = inner.body
+            if t.fv <= depth:
+                assert inner is t
+            body = Abs(body)
+
+
+def test_fv_is_not_part_of_identity():
+    t = term("\\x.x y")
+    assert t == Abs(App(Var(0), Var(1)))
+    assert hash(t) == hash(Abs(App(Var(0), Var(1))))
+    assert repr(t) == "Abs(body=App(fun=Var(index=0), arg=Var(index=1)))"
+    assert repr(H) == "ConstH()"
+
+
+def test_terms_are_immutable_and_pickle():
+    t = App(Var(0), H)
+    with pytest.raises(FrozenInstanceError):
+        t.fv = 5
+    with pytest.raises(FrozenInstanceError):
+        t.fun = H
+    with pytest.raises(FrozenInstanceError):
+        del t.arg
+    copy = pickle.loads(pickle.dumps(t))
+    assert copy == t
+    assert copy.fv == 1
