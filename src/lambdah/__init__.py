@@ -37,6 +37,7 @@ from .gen import (
     wrap_applied_h,
 )
 from .machines import (
+    BUILTINS,
     G,
     I,
     J,
@@ -63,11 +64,7 @@ from .syntax import (
     ParseError,
     UnboundVariable,
     format_term,
-    free_names,
-    from_debruijn,
-    parse,
     parse_term,
-    to_debruijn,
 )
 from .terms import (
     Abs,
@@ -98,19 +95,19 @@ from .terms import (
 )
 
 __all__ = [
-    "Abs", "AgreementRow", "App", "AuxCapExceeded", "BothHnf", "BothRunning",
-    "Checkpoint", "ConstH", "CorpusEntry", "Diverged", "EMismatch", "EShape",
-    "FuelExhausted", "G", "GenConfig", "H", "Head", "HeadH", "HeadRedex",
-    "HeadVar", "Hnf", "I", "InvalidTrace", "J", "LiftWitness", "LockstepReport",
-    "MachineOutcome", "NotAJRedex", "NotATRedex", "NotAnIRedex", "OMEGA",
-    "ParseError", "ShapeViolation", "SpineView", "StepKind", "Strategy",
-    "SuiteReport", "Term", "TraceEntry", "UnboundVariable", "Var", "Y",
-    "alpha_eq", "app_head", "apply_args", "classify", "enumerate_terms",
-    "extract", "format_term", "free_names", "from_debruijn", "has_applied_h",
+    "Abs", "AgreementRow", "App", "AuxCapExceeded", "BUILTINS", "BothHnf",
+    "BothRunning", "Checkpoint", "ConstH", "CorpusEntry", "Diverged",
+    "EMismatch", "EShape", "FuelExhausted", "G", "GenConfig", "H", "Head",
+    "HeadH", "HeadRedex", "HeadVar", "Hnf", "I", "InvalidTrace", "J",
+    "LiftWitness", "LockstepReport", "MachineOutcome", "NotAJRedex",
+    "NotATRedex", "NotAnIRedex", "OMEGA", "ParseError", "ShapeViolation",
+    "SpineView", "StepKind", "Strategy", "SuiteReport", "Term", "TraceEntry",
+    "UnboundVariable", "Var", "Y", "alpha_eq", "app_head", "apply_args",
+    "classify", "enumerate_terms", "extract", "format_term", "has_applied_h",
     "i_step", "is_closed", "is_hnf", "is_well_scoped", "j_step", "lemma_suite",
-    "lift_j_trace", "lockstep", "max_free_index", "pair_stream", "parse",
-    "parse_term", "random_pair_equal_e", "random_term", "read_corpus",
-    "recompose", "replay_j_trace", "run", "shift", "size", "solvable", "solved",
-    "spine", "subst_const_h", "substitute", "t_step", "term_stream",
-    "theorem_check", "to_debruijn", "unwind_app", "wrap_applied_h",
+    "lift_j_trace", "lockstep", "max_free_index", "pair_stream", "parse_term",
+    "random_pair_equal_e", "random_term", "read_corpus", "recompose",
+    "replay_j_trace", "run", "shift", "size", "solvable", "solved", "spine",
+    "subst_const_h", "substitute", "t_step", "term_stream", "theorem_check",
+    "unwind_app", "wrap_applied_h",
 ]

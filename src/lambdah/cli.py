@@ -41,32 +41,20 @@ from .equivalence import (
 from .extraction import ShapeViolation, extract
 from .gen import GenConfig, enumerate_terms, term_stream
 from .machines import (
-    G,
-    I,
-    J,
-    OMEGA,
+    BUILTINS,
     AuxCapExceeded,
     Hnf,
     Overflow,
     Strategy,
-    Y,
     run,
     solvable,
     trace_entry_json,
 )
-from .syntax import ParseError, UnboundVariable, format_term, from_debruijn, parse_term
-
-_BUILTINS = {
-    "I": from_debruijn(I),
-    "J": from_debruijn(J),
-    "Y": from_debruijn(Y),
-    "G": from_debruijn(G),
-    "Omega": from_debruijn(OMEGA),
-}
+from .syntax import ParseError, UnboundVariable, format_term, parse_term, source_lines
 
 
 def _read_term(text: str):
-    return parse_term(text, constants=_BUILTINS)
+    return parse_term(text, constants=BUILTINS)
 
 
 # ---------- subcommands ----------
@@ -75,10 +63,7 @@ def _read_term(text: str):
 def _cmd_fmt(args) -> int:
     source = sys.stdin if args.file == "-" else open(args.file, encoding="utf-8")
     with source:
-        for raw in source:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for line in source_lines(source):
             term, names = _read_term(line)
             print(format_term(term, names))
     return 0
@@ -207,7 +192,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    entries = read_corpus(args.file, constants=_BUILTINS)
+    entries = read_corpus(args.file, constants=BUILTINS)
     rows = []
     for entry in entries:
         row = theorem_check(entry.term, args.fuel, j_fuel_ratio=args.j_fuel_ratio)

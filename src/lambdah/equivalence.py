@@ -25,7 +25,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from os import PathLike
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .extraction import ShapeViolation, classify, extract, has_applied_h
 from .gen import wrap_applied_h
@@ -45,7 +45,7 @@ from .machines import (
     solvable,
     t_step,
 )
-from .syntax import SourceTerm, format_term, parse_term
+from .syntax import format_term, parse_term, source_lines
 from .terms import (
     Abs,
     App,
@@ -296,15 +296,13 @@ class CorpusEntry:
 
 
 def read_corpus(
-    path: str | PathLike, constants: dict[str, SourceTerm] | None = None
+    path: str | PathLike, constants: Mapping[str, Term] | None = None
 ) -> list[CorpusEntry]:
-    """One context per line; '#' starts a comment; blank lines ignored."""
+    """One context per line; '#' starts a comment; blank lines ignored.
+    ``constants`` maps uppercase words to closed terms, as in parse_term."""
     entries: list[CorpusEntry] = []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for line in source_lines(fh):
             term, names = parse_term(line, constants=constants)
             entries.append(CorpusEntry(line, names, term))
     return entries

@@ -320,3 +320,6 @@ Y = App(_Y_HALF, _Y_HALF)
 J = App(Y, G)
 _SELF_APPLY = Abs(App(Var(0), Var(0)))
 OMEGA = App(_SELF_APPLY, _SELF_APPLY)
+
+# the uppercase names the command line and corpus files may use
+BUILTINS = {"I": I, "J": J, "Y": Y, "G": G, "Omega": OMEGA}

@@ -1,4 +1,4 @@
-"""Surface syntax: parsing and printing of named lambda terms.
+"""Surface syntax: parsing and printing of lambda terms.
 
 Grammar::
 
@@ -14,19 +14,25 @@ must be parenthesised.  "H" is reserved for the head constant and is
 not a valid identifier or binder.  "#" starts a comment that runs to
 the end of the line.
 
-``parse`` produces a named tree (``SourceTerm``); ``to_debruijn``
-resolves names against a declared list of free variables, where the
-i-th declared name maps to index depth + i at each occurrence.  The
-printer emits minimal parentheses and uses backslash for lambda, and
-printing then re-parsing is the identity on nameless terms.
+``parse_term`` reads text straight into a nameless term in one left to
+right pass, and ``format_term`` prints a nameless term straight back;
+there is no named intermediate tree.  A name resolves to its innermost
+binder, and a free name to index depth + i, where i is its position in
+the declared free variables.  Other uppercase words are ``constants``:
+closed nameless terms spliced in where the word appears.  The printer
+emits minimal parentheses, uses backslash for lambda, and draws binder
+names from a fixed supply, so printing then re-parsing is the identity
+on nameless terms.  Both directions keep their work on explicit stacks,
+so the depth of a term is bounded by memory, not by the recursion limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+import re
+from itertools import islice
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .terms import Abs, App, ConstH, H, Term, Var
+from .terms import Abs, App, H, Term, Var
 
 
 class ParseError(Exception):
@@ -42,238 +48,205 @@ class UnboundVariable(Exception):
         self.name = name
 
 
-# ---------- named trees ----------
+def source_lines(lines: Iterable[str]) -> Iterator[str]:
+    """The non-blank lines of a file of terms, with '#' comments removed.
 
-
-@dataclass(frozen=True, slots=True)
-class SVar:
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
-class SAbs:
-    param: str
-    body: "SourceTerm"
-
-
-@dataclass(frozen=True, slots=True)
-class SApp:
-    fun: "SourceTerm"
-    arg: "SourceTerm"
-
-
-@dataclass(frozen=True, slots=True)
-class SConstH:
-    pass
-
-
-SourceTerm = SVar | SAbs | SApp | SConstH
+    Lazy, so a stream is read one line at a time.
+    """
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line
 
 
 # ---------- tokenizer ----------
 
+# Each match skips whitespace and comments, then captures one token: a
+# lambda or punctuation mark, a word (letters and digits, the class of
+# str.isalnum), any other single character, or the empty string once,
+# at the end of the text.  Whatever follows a maximal skip is a token,
+# so the skip never backtracks into a comment.
+_TOKEN = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*([\\λ.()]|[^\W_]+|[^ \t\r\n#]|\Z)")
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # lambda | dot | lparen | rparen | ident | consth | upper | eof
-    text: str
-    line: int
-    col: int
+# Token kinds.  The first four are the tokens an atom can start with.
+_IDENT, _CONSTH, _UPPER, _LPAREN, _LAMBDA, _DOT, _RPAREN, _EOF, _BAD = range(9)
+
+_PUNCTUATION = {
+    "\\": _LAMBDA,
+    "λ": _LAMBDA,
+    ".": _DOT,
+    "(": _LPAREN,
+    ")": _RPAREN,
+    "H": _CONSTH,
+    "": _EOF,
+}
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if c in "\\λ":
-            tokens.append(_Token("lambda", c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c == ".":
-            tokens.append(_Token("dot", c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c == "(":
-            tokens.append(_Token("lparen", c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c == ")":
-            tokens.append(_Token("rparen", c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if c.isalpha():
-            j = i + 1
-            while j < n and text[j].isalnum():
-                j += 1
-            word = text[i:j]
-            col += j - i
-            i = j
-            if word == "H":
-                tokens.append(_Token("consth", word, line, start_col))
-            elif word[0].islower():
-                tokens.append(_Token("ident", word, line, start_col))
-            else:
-                tokens.append(_Token("upper", word, line, start_col))
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, start_col)
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+def _word_kind(word: str) -> int:
+    c = word[0]
+    if not c.isalpha():  # a digit, or a character outside the grammar
+        return _BAD
+    return _IDENT if c.islower() else _UPPER
+
+
+def _error(text: str, index: int, message: str) -> ParseError:
+    """A ParseError located at token ``index`` of ``text``.
+
+    Positions are recovered only here, by scanning again.  Columns count
+    characters from 1; the end of input sits where a comment on the last
+    line begins, if there is one.
+    """
+    start = next(islice(_TOKEN.finditer(text), index, None)).start(1)
+    line_start = text.rfind("\n", 0, start) + 1
+    if start == len(text):
+        comment = text.find("#", line_start)
+        if comment != -1:
+            start = comment
+    return ParseError(message, text.count("\n", 0, start) + 1, start - line_start + 1)
+
+
+def _shown(token: str) -> str:
+    return repr(token or "end of input")
 
 
 # ---------- parser ----------
 
-
-_ATOM_STARTS = {"ident", "consth", "upper", "lparen"}
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token], constants: Mapping[str, SourceTerm]):
-        self.tokens = tokens
-        self.pos = 0
-        self.constants = constants
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            shown = tok.text or "end of input"
-            raise ParseError(f"expected {what}, found {shown!r}", tok.line, tok.col)
-        return tok
-
-    def term(self) -> SourceTerm:
-        if self.peek().kind == "lambda":
-            return self.abstraction()
-        return self.application()
-
-    def abstraction(self) -> SourceTerm:
-        self.next()  # lambda
-        params = [self.expect("ident", "binder name").text]
-        while self.peek().kind == "ident":
-            params.append(self.next().text)
-        self.expect("dot", "'.'")
-        body = self.term()
-        for p in reversed(params):
-            body = SAbs(p, body)
-        return body
-
-    def application(self) -> SourceTerm:
-        t = self.atom()
-        while self.peek().kind in _ATOM_STARTS:
-            t = SApp(t, self.atom())
-        nxt = self.peek()
-        if nxt.kind == "lambda":
-            raise ParseError(
-                "abstraction in argument position must be parenthesised",
-                nxt.line,
-                nxt.col,
-            )
-        return t
-
-    def atom(self) -> SourceTerm:
-        tok = self.next()
-        if tok.kind == "ident":
-            return SVar(tok.text)
-        if tok.kind == "consth":
-            return SConstH()
-        if tok.kind == "upper":
-            if tok.text in self.constants:
-                return self.constants[tok.text]
-            raise ParseError(f"unknown constant {tok.text!r}", tok.line, tok.col)
-        if tok.kind == "lparen":
-            t = self.term()
-            self.expect("rparen", "')'")
-            return t
-        shown = tok.text or "end of input"
-        raise ParseError(f"expected a term, found {shown!r}", tok.line, tok.col)
+_OUTERMOST = object()  # the frame of the whole text
 
 
-def parse(text: str, constants: Mapping[str, SourceTerm] | None = None) -> SourceTerm:
-    """Parse a named term.
+def parse_term(
+    text: str,
+    free_vars: Sequence[str] | None = None,
+    constants: Mapping[str, Term] | None = None,
+) -> tuple[Term, tuple[str, ...]]:
+    """Parse text straight to a nameless term.
 
-    ``constants`` optionally maps reserved uppercase words to closed
-    source trees that are spliced in where the word appears; the core
-    grammar itself admits only "H".
+    When ``free_vars`` is None the free identifiers are declared
+    implicitly in first-occurrence order; the declaration actually used
+    is returned alongside the term so output can reuse the same names.
+    ``constants`` maps uppercase words to closed terms; an open one is a
+    ValueError.  Syntax errors raise ParseError, and a name that is
+    neither bound nor declared raises UnboundVariable once the whole
+    text has parsed.
     """
-    parser = _Parser(_tokenize(text), constants or {})
-    t = parser.term()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
-    return t
+    constants = constants or {}
+    for name, value in constants.items():
+        if value.fv:
+            raise ValueError(f"constant {name!r} is not a closed term")
+
+    tokens = _TOKEN.findall(text)
+    kinds = dict(_PUNCTUATION)
+    for word in set(tokens).difference(kinds):
+        kinds[word] = _word_kind(word)
+    ks = list(map(kinds.__getitem__, tokens))
+    if _BAD in ks:
+        # the first character outside the grammar wins over any other error
+        i = ks.index(_BAD)
+        raise _error(text, i, f"unexpected character {tokens[i][0]!r}")
+
+    implicit = free_vars is None
+    free: dict[str, int] = {}
+    if not implicit:
+        free_vars = tuple(free_vars)
+        for i, name in enumerate(free_vars):
+            free.setdefault(name, i)
+    scope: dict[str, list[int]] = {}  # binder name -> depths, innermost last
+    depth = 0
+    unbound: str | None = None
+    # Pending work, innermost last: a list of binder names for an
+    # abstraction whose body is being read, or, for an open parenthesis,
+    # the application to its left (None if it starts one).  The text
+    # itself is the outermost frame.
+    frames: list = [_OUTERMOST]
+    pos = 0
+    k = ks[0]
+    while True:
+        # a term starts here: first its binder groups
+        while k == _LAMBDA:
+            pos += 1
+            k = ks[pos]
+            if k != _IDENT:
+                raise _error(
+                    text, pos, f"expected binder name, found {_shown(tokens[pos])}"
+                )
+            names = []
+            while k == _IDENT:
+                name = tokens[pos]
+                names.append(name)
+                scope.setdefault(name, []).append(depth)
+                depth += 1
+                pos += 1
+                k = ks[pos]
+            if k != _DOT:
+                raise _error(text, pos, f"expected '.', found {_shown(tokens[pos])}")
+            frames.append(names)
+            pos += 1
+            k = ks[pos]
+        # then an application, one atom at a time
+        acc = None
+        while True:
+            if k == _IDENT:
+                name = tokens[pos]
+                binders = scope.get(name)
+                if binders:
+                    t = Var(depth - binders[-1] - 1)
+                else:
+                    i = free.get(name)
+                    if i is None:
+                        if implicit:
+                            i = free[name] = len(free)
+                        else:
+                            unbound = unbound or name
+                            i = 0
+                    t = Var(depth + i)
+            elif k == _CONSTH:
+                t = H
+            elif k == _LPAREN:
+                frames.append(acc)
+                pos += 1
+                k = ks[pos]
+                break
+            elif k == _UPPER:
+                t = constants.get(tokens[pos])
+                if t is None:
+                    raise _error(text, pos, f"unknown constant {tokens[pos]!r}")
+            else:
+                raise _error(text, pos, f"expected a term, found {_shown(tokens[pos])}")
+            acc = t if acc is None else App(acc, t)
+            pos += 1
+            k = ks[pos]
+            # no further atom: the application ends, and so do the
+            # abstractions around it, up to a closing parenthesis
+            while k > _LPAREN:
+                if k == _LAMBDA:
+                    raise _error(
+                        text, pos, "abstraction in argument position must be parenthesised"
+                    )
+                t = acc
+                left = frames.pop()
+                while left.__class__ is list:
+                    for name in left:
+                        t = Abs(t)
+                        scope[name].pop()
+                        depth -= 1
+                    left = frames.pop()
+                if left is _OUTERMOST:
+                    if k != _EOF:
+                        raise _error(
+                            text, pos, f"unexpected trailing input {tokens[pos]!r}"
+                        )
+                    if unbound is not None:
+                        raise UnboundVariable(unbound)
+                    names = tuple(free) if implicit else free_vars
+                    return t, names
+                if k != _RPAREN:
+                    raise _error(text, pos, f"expected ')', found {_shown(tokens[pos])}")
+                acc = t if left is None else App(left, t)
+                pos += 1
+                k = ks[pos]
 
 
-# ---------- name resolution ----------
-
-
-def free_names(source: SourceTerm) -> tuple[str, ...]:
-    """Free identifiers in first-occurrence order."""
-    seen: list[str] = []
-
-    def go(s: SourceTerm, bound: tuple[str, ...]) -> None:
-        match s:
-            case SVar(name):
-                if name not in bound and name not in seen:
-                    seen.append(name)
-            case SAbs(param, body):
-                go(body, (param,) + bound)
-            case SApp(fun, arg):
-                go(fun, bound)
-                go(arg, bound)
-            case SConstH():
-                pass
-
-    go(source, ())
-    return tuple(seen)
-
-
-def to_debruijn(source: SourceTerm, free_vars: Sequence[str] = ()) -> Term:
-    """Resolve names to indices; declared free name i becomes depth + i."""
-    free = list(free_vars)
-
-    def go(s: SourceTerm, env: list[str]) -> Term:
-        match s:
-            case SVar(name):
-                if name in env:
-                    return Var(env.index(name))  # innermost binder wins
-                if name in free:
-                    return Var(len(env) + free.index(name))
-                raise UnboundVariable(name)
-            case SAbs(param, body):
-                return Abs(go(body, [param] + env))
-            case SApp(fun, arg):
-                return App(go(fun, env), go(arg, env))
-            case _:
-                return H
-
-    return go(source, [])
+# ---------- printer ----------
 
 
 _BINDER_LETTERS = "xyzwustabc"  # no "v": synthetic free names are v0, v1, ...
@@ -292,74 +265,60 @@ def _binder_names(avoid: set[str]) -> Iterator[str]:
         suffix += 1
 
 
-def from_debruijn(t: Term, free_vars: Sequence[str] = ()) -> SourceTerm:
-    """Name a term.  Free index depth + i takes the i-th declared name, or
-    a synthetic ``v{i}`` beyond the declared list.  Binder names are drawn
-    from a fixed supply, skipping everything already in scope, so the
-    result re-parses to exactly ``t``.
-    """
-    free = list(free_vars)
-    avoid = set(free)
-    supply = _binder_names(avoid)
-
-    def go(t: Term, env: list[str]) -> SourceTerm:
-        match t:
-            case Var(i):
-                if i < len(env):
-                    return SVar(env[i])
-                j = i - len(env)
-                return SVar(free[j]) if j < len(free) else SVar(f"v{j}")
-            case Abs(body):
-                name = next(supply)
-                return SAbs(name, go(body, [name] + env))
-            case App(fun, arg):
-                return SApp(go(fun, env), go(arg, env))
-            case _:
-                return SConstH()
-
-    return go(t, [])
-
-
-# ---------- printer ----------
-
-
-def print_source(s: SourceTerm) -> str:
-    def fmt(s: SourceTerm, pos: str) -> str:  # pos: top | fun | arg
-        match s:
-            case SVar(name):
-                return name
-            case SConstH():
-                return "H"
-            case SAbs(_, _):
-                params: list[str] = []
-                body = s
-                while isinstance(body, SAbs):
-                    params.append(body.param)
-                    body = body.body
-                text = "\\" + " ".join(params) + "." + fmt(body, "top")
-                return text if pos == "top" else f"({text})"
-            case SApp(fun, arg):
-                text = fmt(fun, "fun") + " " + fmt(arg, "arg")
-                return text if pos != "arg" else f"({text})"
-
-    return fmt(s, "top")
+# where a subterm sits, which decides its parentheses
+_TOP, _FUN, _ARG = range(3)
 
 
 def format_term(t: Term, free_vars: Sequence[str] = ()) -> str:
-    return print_source(from_debruijn(t, free_vars))
-
-
-def parse_term(
-    text: str,
-    free_vars: Sequence[str] | None = None,
-    constants: Mapping[str, SourceTerm] | None = None,
-) -> tuple[Term, tuple[str, ...]]:
-    """Parse straight to a nameless term.
-
-    When ``free_vars`` is None the free identifiers are declared
-    implicitly in first-occurrence order; the declaration actually used
-    is returned alongside the term so output can reuse the same names.
+    """Print a term.  Free index depth + i takes the i-th declared name, or
+    a synthetic ``v{i}`` beyond the declared list.  Binder names are drawn
+    from a fixed supply in pre-order, skipping the declared names, so the
+    text re-parses to exactly ``t``.
     """
-    source = parse(text, constants)
-    names = tuple(free_vars) if free_vars is not None else free_names(source)
-    return to_debruijn(source, names), names
+    free = list(free_vars)
+    supply = _binder_names(set(free))
+    env: list[str] = []  # names of the binders in scope, innermost last
+    out: list[str] = []
+    # Work, next item last: a string to emit, a count of binders whose
+    # scope ends, or a (term, position) pair to print.
+    todo: list = [(t, _TOP)]
+    while todo:
+        item = todo.pop()
+        cls = item.__class__
+        if cls is str:
+            out.append(item)
+            continue
+        if cls is int:
+            del env[-item:]
+            continue
+        t, where = item
+        cls = t.__class__
+        if cls is App:
+            if where == _ARG:
+                out.append("(")
+                todo.append(")")
+            todo.append((t.arg, _ARG))
+            todo.append(" ")
+            todo.append((t.fun, _FUN))
+        elif cls is Var:
+            i = t.index
+            if i < len(env):
+                out.append(env[-1 - i])
+            else:
+                j = i - len(env)
+                out.append(free[j] if j < len(free) else f"v{j}")
+        elif cls is Abs:
+            params = []
+            while t.__class__ is Abs:
+                params.append(next(supply))
+                t = t.body
+            env.extend(params)
+            if where != _TOP:
+                out.append("(")
+                todo.append(")")
+            out.append("\\" + " ".join(params) + ".")
+            todo.append(len(params))
+            todo.append((t, _TOP))
+        else:
+            out.append("H")
+    return "".join(out)

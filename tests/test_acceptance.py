@@ -28,19 +28,18 @@ from lambdah.equivalence import (
 from lambdah.extraction import ShapeViolation, classify, extract
 from lambdah.gen import GenConfig, enumerate_terms, term_stream
 from lambdah.machines import (
-    G,
+    BUILTINS,
     I,
     J,
     OMEGA,
     FuelExhausted,
     Hnf,
     Strategy,
-    Y,
     i_step,
     j_step,
     run,
 )
-from lambdah.syntax import format_term, from_debruijn, parse_term
+from lambdah.syntax import format_term, parse_term
 from lambdah.terms import (
     Abs,
     App,
@@ -188,14 +187,7 @@ def test_machine_verdicts_bridge_to_substituted_runs(closed6):
 
 
 def test_curated_contexts_never_disagree():
-    constants = {
-        "I": from_debruijn(I),
-        "J": from_debruijn(J),
-        "Y": from_debruijn(Y),
-        "G": from_debruijn(G),
-        "Omega": from_debruijn(OMEGA),
-    }
-    entries = read_corpus(CONTEXT_FILE, constants=constants)
+    entries = read_corpus(CONTEXT_FILE, constants=BUILTINS)
     texts = {e.text for e in entries}
     # the families the corpus must cover
     assert {"H", "H w", "H Omega", "\\x.H x", "H (\\x.x x) (\\x.x x)"} <= texts

@@ -24,6 +24,7 @@ from lambdah.equivalence import (
 )
 from lambdah.gen import enumerate_terms
 from lambdah.machines import (
+    BUILTINS,
     I,
     J,
     OMEGA,
@@ -36,7 +37,7 @@ from lambdah.machines import (
     j_step,
     run,
 )
-from lambdah.syntax import from_debruijn, parse_term
+from lambdah.syntax import parse_term
 from lambdah.terms import Abs, App, H, Term, Var, size, spine
 
 
@@ -232,7 +233,7 @@ def test_read_corpus_skips_comments_and_blank_lines(tmp_path):
 def test_read_corpus_resolves_named_constants(tmp_path):
     path = tmp_path / "contexts.txt"
     path.write_text("H Omega\n")
-    [entry] = read_corpus(path, constants={"Omega": from_debruijn(OMEGA)})
+    [entry] = read_corpus(path, constants=BUILTINS)
     assert entry.term == App(H, OMEGA)
 
 

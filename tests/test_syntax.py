@@ -1,18 +1,18 @@
 """Parser and printer tests: grammar corners, errors, round-trips."""
 
+import sys
+from itertools import islice
+
 import pytest
 
 from lambdah.gen import GenConfig, enumerate_terms, term_stream
+from lambdah.machines import BUILTINS, OMEGA
 from lambdah.syntax import (
     ParseError,
     UnboundVariable,
     format_term,
-    free_names,
-    from_debruijn,
-    parse,
     parse_term,
-    print_source,
-    to_debruijn,
+    source_lines,
 )
 from lambdah.terms import Abs, App, H, Var, max_free_index
 
@@ -59,42 +59,101 @@ def test_parse_shadowing_binds_innermost():
     assert parse_term("\\x.\\x.x")[0] == Abs(Abs(Var(0)))
 
 
-def test_parse_error_reports_position():
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        pytest.param("x + y", "unexpected character '+'", 1, 3, id="unexpected-character"),
+        pytest.param("²x", "unexpected character '²'", 1, 1, id="digit-first"),
+        # a bad character anywhere is reported before any grammar error
+        pytest.param("x ) ²", "unexpected character '²'", 1, 5, id="bad-character-first"),
+        pytest.param("\\H.H", "expected binder name, found 'H'", 1, 2, id="binder"),
+        pytest.param("λx y.λ", "expected binder name, found 'end of input'", 1, 7,
+                     id="unicode-lambda-binder"),
+        pytest.param("\\x y H", "expected '.', found 'H'", 1, 6, id="dot"),
+        pytest.param("\\x.(x", "expected ')', found 'end of input'", 1, 6, id="rparen"),
+        pytest.param("x  # note\n\n\t(y .", "expected ')', found '.'", 3, 5,
+                     id="line-3-after-comment-and-tab"),
+        # the end of input sits where a comment on the last line begins
+        pytest.param("(x # open", "expected ')', found 'end of input'", 1, 4,
+                     id="end-after-comment"),
+        pytest.param("x \\y.y", "abstraction in argument position must be parenthesised",
+                     1, 3, id="bare-abstraction-argument"),
+        pytest.param("K x", "unknown constant 'K'", 1, 1, id="unknown-constant"),
+        pytest.param("()", "expected a term, found ')'", 1, 2, id="term"),
+        pytest.param("x )", "unexpected trailing input ')'", 1, 3, id="trailing-input"),
+        # x² is one identifier, so the error is the trailing parenthesis
+        pytest.param("λx².x² )", "unexpected trailing input ')'", 1, 8,
+                     id="superscript-in-identifier"),
+    ],
+)
+def test_parse_error_reports_position(text, message, line, col):
     with pytest.raises(ParseError) as err:
-        parse("\\x.(x")
-    assert err.value.line == 1
-    assert err.value.col == 6
+        parse_term(text)
+    assert (str(err.value), err.value.line, err.value.col) == (
+        f"line {line}, column {col}: {message}",
+        line,
+        col,
+    )
 
 
 def test_parse_error_on_bare_abstraction_argument():
     # the grammar requires (\y.y) in argument position
     with pytest.raises(ParseError):
-        parse("x \\y.y")
+        parse_term("x \\y.y")
 
 
 def test_parse_error_on_h_as_binder():
     with pytest.raises(ParseError):
-        parse("\\H.H")
+        parse_term("\\H.H")
 
 
 def test_parse_error_on_unknown_uppercase_name():
     with pytest.raises(ParseError):
-        parse("K x")
+        parse_term("K x")
 
 
 def test_unbound_variable_is_reported_by_name():
     with pytest.raises(UnboundVariable) as err:
-        to_debruijn(parse("x y"), free_vars=("x",))
+        parse_term("x y", free_vars=("x",))
     assert err.value.name == "y"
+    assert str(err.value) == "unbound variable: y"
+
+
+def test_syntax_errors_take_precedence_over_unbound_names():
+    with pytest.raises(ParseError):
+        parse_term("y )", free_vars=("x",))
 
 
 def test_explicit_free_context_fixes_indices():
-    t = to_debruijn(parse("y x"), free_vars=("x", "y"))
+    t = parse_term("y x", free_vars=("x", "y"))[0]
     assert t == App(Var(1), Var(0))
 
 
 def test_free_names_skips_bound_occurrences():
-    assert free_names(parse("\\x.x y x z")) == ("y", "z")
+    assert parse_term("\\x.x y x z")[1] == ("y", "z")
+
+
+def test_constants_are_spliced_in_as_they_are():
+    t, names = parse_term("H Omega", constants=BUILTINS)
+    assert names == ()
+    assert t == App(H, OMEGA)
+    assert t.arg is OMEGA
+
+
+def test_an_open_constant_is_rejected():
+    with pytest.raises(ValueError):
+        parse_term("K", constants={"K": Var(0)})
+
+
+def test_source_lines_drop_comments_and_blanks_lazily():
+    def lines():
+        yield "x  # a comment\n"
+        yield "   \n"
+        yield "# only a comment\n"
+        yield " y z \n"
+        raise AssertionError("read past the line asked for")
+
+    assert list(islice(source_lines(lines()), 2)) == ["x", "y z"]
 
 
 # ---------- printing ----------
@@ -130,21 +189,59 @@ def test_format_names_undeclared_free_indices():
     assert format_term(App(Var(0), Var(2))) == "v0 v2"
 
 
-def test_print_source_and_parse_are_inverse_on_enumerated_terms():
+def test_format_and_parse_are_inverse_on_enumerated_terms():
     for free in (0, 2):
         names = tuple(f"v{i}" for i in range(free))
         for t in enumerate_terms(6, free_vars=free):
             text = format_term(t, names)
-            assert to_debruijn(parse(text), names) == t
+            assert parse_term(text, names)[0] == t
 
 
 def test_round_trip_on_random_terms():
     for i, t in zip(range(300), term_stream(GenConfig(seed=9, max_size=30, free_vars=3))):
         names = tuple(f"v{i}" for i in range(max_free_index(t) + 1))
         text = format_term(t, names)
-        assert to_debruijn(parse(text), names) == t
+        assert parse_term(text, names)[0] == t
 
 
-def test_from_debruijn_names_are_deterministic():
+def test_format_names_are_deterministic():
     t = parse_term("\\x y.x (y x)")[0]
-    assert print_source(from_debruijn(t)) == print_source(from_debruijn(t))
+    assert format_term(t) == format_term(t)
+
+
+# ---------- deep terms ----------
+
+DEPTH = 100_000
+
+
+@pytest.fixture
+def default_recursion_limit():
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(saved)
+
+
+def _nested_binders() -> str:
+    raw = "".join(f"\\x{i}." for i in range(1, DEPTH + 1)) + "x1 x2"
+    text = format_term(*parse_term(raw))
+    assert text.startswith("\\x y z w u s t a b c x1 y1 ")
+    assert text.endswith(".x y")
+    return text
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(_nested_binders, id="nested-binders"),
+        pytest.param(lambda: " ".join(["x"] * DEPTH), id="left-nested-application"),
+        pytest.param(
+            lambda: "H (" * (DEPTH - 1) + "H x" + ")" * (DEPTH - 1),
+            id="right-nested-chain",
+        ),
+    ],
+)
+def test_deep_terms_round_trip_without_recursion(build, default_recursion_limit):
+    # compare texts: term equality is itself recursive
+    text = build()
+    assert format_term(*parse_term(text)) == text
