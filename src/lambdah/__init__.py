@@ -31,8 +31,6 @@ from .gen import (
     GenConfig,
     enumerate_terms,
     pair_stream,
-    random_pair_equal_e,
-    random_term,
     term_stream,
     wrap_applied_h,
 )
@@ -83,9 +81,7 @@ from .terms import (
     apply_args,
     is_closed,
     is_hnf,
-    is_well_scoped,
     max_free_index,
-    recompose,
     shift,
     size,
     spine,
@@ -104,9 +100,8 @@ __all__ = [
     "SpineView", "StepKind", "Strategy", "SuiteReport", "Term", "TraceEntry",
     "UnboundVariable", "Var", "Y", "alpha_eq", "app_head", "apply_args",
     "classify", "enumerate_terms", "extract", "format_term", "has_applied_h",
-    "i_step", "is_closed", "is_hnf", "is_well_scoped", "j_step", "lemma_suite",
-    "lift_j_trace", "lockstep", "max_free_index", "pair_stream", "parse_term",
-    "random_pair_equal_e", "random_term", "read_corpus", "recompose",
+    "i_step", "is_closed", "is_hnf", "j_step", "lemma_suite", "lift_j_trace",
+    "lockstep", "max_free_index", "pair_stream", "parse_term", "read_corpus",
     "replay_j_trace", "run", "shift", "size", "solvable", "solved", "spine",
     "subst_const_h", "substitute", "t_step", "term_stream", "theorem_check",
     "unwind_app", "wrap_applied_h",

@@ -32,11 +32,12 @@ from .equivalence import (
     InvalidTrace,
     agreement_row_json,
     agreement_summary_json,
+    agreement_tally,
     lemma_suite,
     lockstep,
     read_corpus,
-    solved,
     theorem_check,
+    verdict_word,
 )
 from .extraction import ShapeViolation, extract
 from .gen import GenConfig, enumerate_terms, term_stream
@@ -48,7 +49,7 @@ from .machines import (
     Strategy,
     run,
     solvable,
-    trace_entry_json,
+    trace_json,
 )
 from .syntax import ParseError, UnboundVariable, format_term, parse_term, source_lines
 
@@ -80,10 +81,11 @@ def _cmd_reduce(args) -> int:
     strategy = Strategy(args.strategy)
     outcome = run(term, strategy, args.fuel, keep_trace=args.trace)
     if args.trace and outcome.trace:
-        for entry in outcome.trace:
-            if args.json:
-                print(trace_entry_json(entry, names))
-            else:
+        if args.json:
+            for line in trace_json(outcome.trace, names):
+                print(line)
+        else:
+            for entry in outcome.trace:
                 print(f"{entry.kind.value:6} {format_term(entry.after, names)}")
     final = outcome.result if isinstance(outcome, Hnf) else outcome.last
     if args.json:
@@ -200,21 +202,17 @@ def _cmd_corpus(args) -> int:
         if args.json:
             print(agreement_row_json(row, entry.free_vars))
         else:
-            vi = "hnf" if solved(row.verdict_i) else "unknown"
-            vj = "hnf" if solved(row.verdict_j) else "unknown"
+            vi, vj = row.verdict_i, row.verdict_j
             flag = "agree" if row.agree else "DISAGREE"
-            print(f"{entry.text}: I={vi}({row.verdict_i.t_steps}) "
-                  f"J={vj}({row.verdict_j.t_steps}) {flag}")
+            print(f"{entry.text}: I={verdict_word(vi)}({vi.t_steps}) "
+                  f"J={verdict_word(vj)}({vj.t_steps}) {flag}")
     if args.json:
         print(agreement_summary_json(rows))
     else:
-        disagreements = sum(1 for r in rows if not r.agree)
-        unknown = sum(
-            1 for r in rows if not solved(r.verdict_i) and not solved(r.verdict_j)
-        )
+        tally = agreement_tally(rows)
         print(
-            f"{len(rows)} contexts, {disagreements} disagreements, "
-            f"{unknown} both-unknown"
+            f"{tally['contexts']} contexts, {tally['disagreements']} disagreements, "
+            f"{tally['both_unknown']} both-unknown"
         )
     return 0 if all(r.agree for r in rows) else 1
 

@@ -57,7 +57,6 @@ from .terms import (
     alpha_eq,
     apply_args,
     is_closed,
-    is_hnf,
     size,
     spine,
     subst_const_h,
@@ -115,21 +114,29 @@ class LockstepReport:
     aux_steps_j: int
 
 
-class _SettleOverflow(Exception):
-    # a side outgrew the state budget with its burst still pending
-    pass
+@dataclass(slots=True)
+class _Side:
+    """One machine of a lockstep run, paused between t-steps with its
+    eager burst of I- or J-steps already taken."""
 
+    strategy: Strategy
+    state: Term
+    cap_aux: int | None
+    max_state: int | None
+    t_steps: int = 0
+    aux_steps: int = 0
+    done: bool = False
 
-def _settle(
-    t: Term, strategy: Strategy, cap_aux: int | None, max_state: int | None
-) -> tuple[Term, int]:
-    # exhaust the auxiliary steps; pure strategies take no t-steps, so
-    # fuel 0 cannot be the reason they stop
-    out = run(t, strategy, 0, cap_aux, max_state=max_state)
-    if isinstance(out, Overflow):
-        raise _SettleOverflow
-    assert isinstance(out, Hnf)
-    return out.result, out.aux_steps
+    def advance(self, fuel: int) -> bool:
+        """Take up to ``fuel`` t-steps, each with the burst it exposes;
+        fuel 0 takes only the pending burst.  False if the state
+        outgrew the budget."""
+        out = run(self.state, self.strategy, fuel, self.cap_aux, max_state=self.max_state)
+        self.t_steps += out.t_steps
+        self.aux_steps += out.aux_steps
+        self.done = isinstance(out, Hnf)
+        self.state = out.result if self.done else out.last
+        return not isinstance(out, Overflow)
 
 
 def lockstep(
@@ -143,63 +150,44 @@ def lockstep(
 
     States are compared once each machine has taken its eager burst of
     I- or J-steps; those bursts do not move the image, so this checks
-    the same equality as pausing immediately after the t-step.  A side
-    that outgrows the state budget ends the run with the same verdicts
-    as running out of paired steps.
+    the same equality as pausing immediately after the t-step.  When one
+    machine halts, the other gets the rest of the ``max_t`` budget.  A
+    side that outgrows the state budget ends the run with the same
+    verdicts as running out of paired steps.
     """
-    si = sj = u
-    ti = tj = 0
-    aux_i = aux_j = 0
+    side_i = _Side(Strategy.IT, u, cap_aux, max_state)
+    side_j = _Side(Strategy.JT, u, cap_aux, max_state)
     checkpoints: list[Checkpoint] = []
-    verdict: LockstepVerdict
-    try:
-        si, aux_i = _settle(u, Strategy.PURE_I, cap_aux, max_state)
-        sj, aux_j = _settle(u, Strategy.PURE_J, cap_aux, max_state)
-        while True:
-            done_i, done_j = is_hnf(si), is_hnf(sj)
-            if done_i and done_j:
-                equal = alpha_eq(extract(si), extract(sj))
-                verdict = BothHnf() if equal else EMismatch(ti)
-                break
-            if done_i != done_j:
-                # one machine halted; spend the remaining budget on the other
-                halted_at = ti if done_i else tj
-                if done_i:
-                    while tj < max_t and not is_hnf(sj):
-                        sj = t_step(sj)
-                        tj += 1
-                        sj, a = _settle(sj, Strategy.PURE_J, cap_aux, max_state)
-                        aux_j += a
-                    verdict = BothHnf() if is_hnf(sj) else Diverged(halted_at)
-                else:
-                    while ti < max_t and not is_hnf(si):
-                        si = t_step(si)
-                        ti += 1
-                        si, a = _settle(si, Strategy.PURE_I, cap_aux, max_state)
-                        aux_i += a
-                    verdict = BothHnf() if is_hnf(si) else Diverged(halted_at)
-                break
-            if ti >= max_t:
-                verdict = BothRunning()
-                break
-            si = t_step(si)
-            ti += 1
-            si, a = _settle(si, Strategy.PURE_I, cap_aux, max_state)
-            aux_i += a
-            sj = t_step(sj)
-            tj += 1
-            sj, a = _settle(sj, Strategy.PURE_J, cap_aux, max_state)
-            aux_j += a
-            image_i, image_j = extract(si), extract(sj)
+    fits = side_i.advance(0) and side_j.advance(0)
+    equal = True
+    while fits and equal and not (side_i.done or side_j.done) and side_i.t_steps < max_t:
+        fits = side_i.advance(1) and side_j.advance(1)
+        if fits:
+            image_i, image_j = extract(side_i.state), extract(side_j.state)
             equal = alpha_eq(image_i, image_j)
-            checkpoints.append(Checkpoint(ti, image_i, image_j, equal))
-            if not equal:
-                verdict = EMismatch(ti)
-                break
-    except _SettleOverflow:
-        done_i, done_j = is_hnf(si), is_hnf(sj)
-        verdict = Diverged(ti if done_i else tj) if done_i != done_j else BothRunning()
-    return LockstepReport(u, tuple(checkpoints), verdict, ti, tj, aux_i, aux_j)
+            checkpoints.append(Checkpoint(side_i.t_steps, image_i, image_j, equal))
+    verdict: LockstepVerdict
+    if not equal:
+        verdict = EMismatch(side_i.t_steps)
+    elif side_i.done and side_j.done:
+        same = alpha_eq(extract(side_i.state), extract(side_j.state))
+        verdict = BothHnf() if same else EMismatch(side_i.t_steps)
+    elif side_i.done or side_j.done:
+        halted, going = (side_i, side_j) if side_i.done else (side_j, side_i)
+        if fits:
+            going.advance(max_t - going.t_steps)
+        verdict = BothHnf() if going.done else Diverged(halted.t_steps)
+    else:
+        verdict = BothRunning()
+    return LockstepReport(
+        u,
+        tuple(checkpoints),
+        verdict,
+        side_i.t_steps,
+        side_j.t_steps,
+        side_i.aux_steps,
+        side_j.aux_steps,
+    )
 
 
 # ---------- theorem harness ----------
@@ -254,7 +242,7 @@ def theorem_check(
     return AgreementRow(u, verdict_i, verdict_j, verdict_it, verdict_jt, agree)
 
 
-def _verdict_word(outcome: MachineOutcome) -> str:
+def verdict_word(outcome: MachineOutcome) -> str:
     return "hnf" if solved(outcome) else "unknown"
 
 
@@ -262,8 +250,8 @@ def agreement_row_json(row: AgreementRow, free_vars: Sequence[str] = ()) -> str:
     return json.dumps(
         {
             "context": format_term(row.context, free_vars),
-            "verdict_I": _verdict_word(row.verdict_i),
-            "verdict_J": _verdict_word(row.verdict_j),
+            "verdict_I": verdict_word(row.verdict_i),
+            "verdict_J": verdict_word(row.verdict_j),
             "agree": row.agree,
             "t_steps_I": row.verdict_i.t_steps,
             "t_steps_J": row.verdict_j.t_steps,
@@ -271,18 +259,20 @@ def agreement_row_json(row: AgreementRow, free_vars: Sequence[str] = ()) -> str:
     )
 
 
+def agreement_tally(rows: Sequence[AgreementRow]) -> dict[str, int]:
+    """The counts a corpus report ends with, in text and in JSON."""
+    return {
+        "contexts": len(rows),
+        "definite": sum(1 for r in rows if r.definite),
+        "both_unknown": sum(
+            1 for r in rows if not solved(r.verdict_i) and not solved(r.verdict_j)
+        ),
+        "disagreements": sum(1 for r in rows if not r.agree),
+    }
+
+
 def agreement_summary_json(rows: Sequence[AgreementRow]) -> str:
-    definite = sum(1 for r in rows if r.definite)
-    unknown = sum(1 for r in rows if not solved(r.verdict_i) and not solved(r.verdict_j))
-    disagreements = sum(1 for r in rows if not r.agree)
-    return json.dumps(
-        {
-            "contexts": len(rows),
-            "definite": definite,
-            "both_unknown": unknown,
-            "disagreements": disagreements,
-        }
-    )
+    return json.dumps(agreement_tally(rows))
 
 
 # ---------- corpus files ----------

@@ -94,10 +94,6 @@ def term_stream(cfg: GenConfig) -> Iterator[Term]:
         yield _random_term(rng, cfg.max_size, cfg.free_vars, cfg.h_weight)
 
 
-def random_term(cfg: GenConfig) -> Term:
-    return next(term_stream(cfg))
-
-
 # ---------- equal-image pairs ----------
 
 
@@ -133,7 +129,3 @@ def pair_stream(cfg: GenConfig, density: float = 0.25) -> Iterator[tuple[Term, T
         right = wrap_applied_h(base, rng, density)
         assert alpha_eq(extract(left), extract(right))
         yield left, right
-
-
-def random_pair_equal_e(cfg: GenConfig, density: float = 0.25) -> tuple[Term, Term]:
-    return next(pair_stream(cfg, density))

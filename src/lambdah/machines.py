@@ -23,6 +23,11 @@ Strategies:
             one t-step; halts at head normal form.
     JT      same with J-steps.
 
+A strategy is data to ``run``: whether it takes t-steps, and which
+auxiliary contraction (I, J or none) it applies at an applied H; ``run``
+looks both up once per call.  Every outcome, Hnf, FuelExhausted and
+Overflow alike, reports the t-steps and the auxiliary steps taken.
+
 ``fuel`` bounds t-steps only.  I/J-steps are bounded separately by
 ``cap_aux``: each burst of consecutive auxiliary steps between t-steps
 may not exceed the cap (for the pure strategies the whole run is one
@@ -48,7 +53,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .syntax import format_term
 from .terms import (
@@ -61,7 +66,6 @@ from .terms import (
     Term,
     Var,
     apply_args,
-    recompose,
     size,
     spine,
     substitute,
@@ -86,15 +90,23 @@ class TraceEntry:
     t_steps: int  # t-steps completed after this step
 
 
-def trace_entry_json(entry: TraceEntry, free_vars: Sequence[str] = ()) -> str:
-    return json.dumps(
-        {
-            "kind": entry.kind.value,
-            "before": format_term(entry.before, free_vars),
-            "after": format_term(entry.after, free_vars),
-            "t_steps": entry.t_steps,
-        }
-    )
+def trace_json(trace: Sequence[TraceEntry], free_vars: Sequence[str] = ()) -> Iterator[str]:
+    """One JSON line per entry; a state that ends one step and starts
+    the next is formatted once."""
+    after, after_text = None, ""
+    for entry in trace:
+        before_text = (
+            after_text if entry.before is after else format_term(entry.before, free_vars)
+        )
+        after, after_text = entry.after, format_term(entry.after, free_vars)
+        yield json.dumps(
+            {
+                "kind": entry.kind.value,
+                "before": before_text,
+                "after": after_text,
+                "t_steps": entry.t_steps,
+            }
+        )
 
 
 # ---------- step rules ----------
@@ -136,8 +148,8 @@ def _contract_t(view: SpineView) -> Term:
     return _rebuild(view, substitute(fun.body, head.arg), view.args)
 
 
-def _contract_i(view: SpineView) -> Term:
-    return _rebuild(view, view.args[0], view.args[1:])
+def _contract_i(view: SpineView) -> tuple[Term, StepKind]:
+    return _rebuild(view, view.args[0], view.args[1:]), StepKind.I
 
 
 def _contract_j(view: SpineView) -> tuple[Term, StepKind]:
@@ -161,7 +173,7 @@ def i_step(t: Term) -> Term:
     view = spine(t)
     if not isinstance(view.head, HeadH) or not view.args:
         raise NotAnIRedex(f"head is not an applied H: {format_term(t)}")
-    return _contract_i(view)
+    return _contract_i(view)[0]
 
 
 def j_step(t: Term) -> Term:
@@ -184,9 +196,15 @@ class Strategy(Enum):
     JT = "jt"
 
 
-_AUX_I = frozenset({Strategy.PURE_I, Strategy.IT})
-_AUX_J = frozenset({Strategy.PURE_J, Strategy.JT})
-_TAKES_T = frozenset({Strategy.T_HEAD, Strategy.IT, Strategy.JT})
+# each strategy as data: the contraction it applies at an applied H, if
+# any, and whether it takes t-steps
+_STRATEGY_STEPS = {
+    Strategy.T_HEAD: (None, True),
+    Strategy.PURE_I: (_contract_i, False),
+    Strategy.PURE_J: (_contract_j, False),
+    Strategy.IT: (_contract_i, True),
+    Strategy.JT: (_contract_j, True),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,6 +220,7 @@ class FuelExhausted:
     last: Term
     t_steps: int
     trace: tuple[TraceEntry, ...] | None = None
+    aux_steps: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,6 +231,7 @@ class Overflow:
     last: Term
     t_steps: int
     trace: tuple[TraceEntry, ...] | None = None
+    aux_steps: int = 0
 
 
 MachineOutcome = Hnf | FuelExhausted | Overflow
@@ -243,6 +263,7 @@ def run(
     is undecided.
     """
     trace: list[TraceEntry] | None = [] if keep_trace else None
+    contract_aux, takes_t = _STRATEGY_STEPS[strategy]
     budget = max_state if max_state is not None else DEFAULT_MAX_STATE
     t_steps = 0
     aux_steps = 0
@@ -251,40 +272,31 @@ def run(
     while True:
         view = spine(t)
         head = view.head
-        aux_kind: StepKind | None = None
-        if isinstance(head, HeadH) and view.args:
-            if strategy in _AUX_I:
-                aux_kind = StepKind.I
-            elif strategy in _AUX_J:
-                aux_kind = StepKind.J_WRAP  # refined by the contraction
-        if aux_kind is not None:
+        if contract_aux is not None and isinstance(head, HeadH) and view.args:
             if aux_since_t == 0:
                 state_size = size(t)
                 if state_size > budget:
-                    return Overflow(t, t_steps, _freeze(trace))
+                    return Overflow(t, t_steps, _freeze(trace), aux_steps)
                 # generous per-burst default: pure J-reduction is
                 # observed to need well under 10 * size steps, and pure
                 # I needs at most size // 2
                 burst_cap = cap_aux if cap_aux is not None else 10 * state_size + 100
             if aux_since_t >= burst_cap:
+                family = "i" if contract_aux is _contract_i else "j"
                 raise AuxCapExceeded(
-                    f"{aux_since_t} consecutive {strategy.value}-steps "
+                    f"{aux_since_t} consecutive {family}-steps "
                     f"(cap {burst_cap}) from {format_term(t)}"
                 )
             before = t
-            if aux_kind is StepKind.I:
-                t = _contract_i(view)
-                kind = StepKind.I
-            else:
-                t, kind = _contract_j(view)
+            t, kind = contract_aux(view)
             aux_steps += 1
             aux_since_t += 1
             if trace is not None:
                 trace.append(TraceEntry(kind, before, t, t_steps))
             continue
-        if isinstance(head, HeadRedex) and strategy in _TAKES_T:
+        if takes_t and isinstance(head, HeadRedex):
             if t_steps >= fuel:
-                return FuelExhausted(t, t_steps, _freeze(trace))
+                return FuelExhausted(t, t_steps, _freeze(trace), aux_steps)
             before = t
             t = _contract_t(view)
             t_steps += 1

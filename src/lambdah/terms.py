@@ -195,11 +195,6 @@ def is_closed(t: Term) -> bool:
     return t.fv == 0
 
 
-def is_well_scoped(t: Term, free_vars: int) -> bool:
-    """True if every variable is bound or one of ``free_vars`` ambient indices."""
-    return t.fv <= free_vars
-
-
 # ---------- application spine helpers ----------
 
 
@@ -277,20 +272,6 @@ def spine(t: Term) -> SpineView:
         head = HeadRedex(base, args[0])
         args = args[1:]
     return SpineView(binders, head, args)
-
-
-def recompose(view: SpineView) -> Term:
-    match view.head:
-        case HeadVar(i):
-            t: Term = Var(i)
-        case HeadH():
-            t = H
-        case HeadRedex(fun, arg):
-            t = App(fun, arg)
-    t = apply_args(t, view.args)
-    for _ in range(view.binders):
-        t = Abs(t)
-    return t
 
 
 def is_hnf(t: Term) -> bool:

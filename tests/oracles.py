@@ -1,16 +1,30 @@
 """Independent oracles the tests check the library against.
 
-Nothing here imports library internals beyond the term constructors:
-the counting recurrence is plain arithmetic on the grammar, and the
-substitution oracle works on named trees with eager renaming, the
-textbook definition that de Bruijn indices are supposed to implement.
+Nothing here imports library internals beyond the term constructors
+and the spine view's head cases: the counting recurrence is plain
+arithmetic on the grammar, ``recompose`` rebuilds a term from its spine
+view by the grammar alone, and the substitution oracle works on named
+trees with eager renaming, the textbook definition that de Bruijn
+indices are supposed to implement.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from lambdah.terms import Abs, App, ConstH, H, Term, Var
+from lambdah.terms import (
+    Abs,
+    App,
+    ConstH,
+    H,
+    HeadH,
+    HeadRedex,
+    HeadVar,
+    SpineView,
+    Term,
+    Var,
+    apply_args,
+)
 
 
 @lru_cache(maxsize=None)
@@ -30,6 +44,21 @@ def count_terms(n: int, free: int) -> int:
     for op in range(1, n - 1):
         total += count_terms(op, free) * count_terms(n - 1 - op, free)
     return total
+
+
+def recompose(view: SpineView) -> Term:
+    """The term ``lam^binders. head args`` that ``spine`` decomposed."""
+    match view.head:
+        case HeadVar(i):
+            t: Term = Var(i)
+        case HeadH():
+            t = H
+        case HeadRedex(fun, arg):
+            t = App(fun, arg)
+    t = apply_args(t, view.args)
+    for _ in range(view.binders):
+        t = Abs(t)
+    return t
 
 
 # ---------- named substitution oracle ----------

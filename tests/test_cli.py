@@ -91,6 +91,16 @@ def test_lockstep_prints_checkpoints_and_verdict(capsys):
     ]
 
 
+def test_lockstep_readme_transcript(capsys):
+    assert main(["lockstep", "(\\f.H f (f H)) (\\y.y)"]) == 0
+    assert lines(capsys) == [
+        "t-step 1: (\\x.x) ((\\y.y) H) == (\\x.x) ((\\y.y) H)",
+        "t-step 2: (\\x.x) H == (\\x.x) H",
+        "t-step 3: H == H",
+        "verdict: both-hnf (t-steps 3/3)",
+    ]
+
+
 def test_lockstep_json(capsys):
     assert main(["lockstep", "H (\\x.x) y", "--json"]) == 0
     first, last = (json.loads(line) for line in lines(capsys))

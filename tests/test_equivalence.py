@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import lambdah.equivalence
+
 from lambdah.equivalence import (
     AgreementRow,
     BothHnf,
@@ -111,6 +113,38 @@ def test_lockstep_ends_both_running_when_a_side_outgrows_the_budget():
     assert report.t_steps_i == report.t_steps_j == 5
     assert len(report.checkpoints) == 4
     assert all(cp.equal for cp in report.checkpoints)
+
+
+def test_lockstep_reports_a_one_sided_halt_as_diverged(monkeypatch):
+    # a JT machine that never admits reaching hnf: the I side halts at
+    # t-step 1, the J side then gets the rest of the budget and still
+    # reports no hnf
+    real_run = lambdah.equivalence.run
+
+    def jt_never_halts(t, strategy, fuel, *args, **kwargs):
+        out = real_run(t, strategy, fuel, *args, **kwargs)
+        if strategy is Strategy.JT and isinstance(out, Hnf):
+            return FuelExhausted(out.result, out.t_steps, out.trace, out.aux_steps)
+        return out
+
+    monkeypatch.setattr("lambdah.equivalence.run", jt_never_halts)
+    report = lockstep(term("H (\\x.x) y"), 10)
+    assert report.verdict == Diverged(1)
+    assert (report.t_steps_i, report.t_steps_j) == (1, 1)
+    assert (report.aux_steps_i, report.aux_steps_j) == (1, 2)
+    [cp] = report.checkpoints
+    assert (cp.t_step_index, cp.image_i, cp.image_j, cp.equal) == (1, Var(0), Var(0), True)
+
+
+def test_lockstep_reports_diverged_when_the_running_side_outgrows_the_budget():
+    # at t-step 1 the I side settles to an hnf; the J side's state is
+    # over the budget with a burst still pending
+    report = lockstep(term("H H (\\x.x x (\\y.H)) H"), 10, max_state=13)
+    assert report.verdict == Diverged(1)
+    assert (report.t_steps_i, report.t_steps_j) == (1, 1)
+    assert (report.aux_steps_i, report.aux_steps_j) == (4, 3)
+    assert report.checkpoints == ()
+    assert lockstep(term("H H (\\x.x x (\\y.H)) H"), 10).verdict == BothHnf()
 
 
 def test_lockstep_over_budget_input_takes_no_steps():

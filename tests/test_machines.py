@@ -28,7 +28,7 @@ from lambdah.machines import (
     run,
     solvable,
     t_step,
-    trace_entry_json,
+    trace_json,
 )
 from lambdah.syntax import format_term, parse_term
 from lambdah.terms import (
@@ -199,15 +199,47 @@ def test_trace_chains_and_counts_t_steps():
     assert seen_t == out.t_steps
 
 
-def test_trace_entry_json_schema():
+def test_trace_json_schema():
     out = run(term("H (\\x.x) y"), Strategy.JT, 10, keep_trace=True)
-    record = json.loads(trace_entry_json(out.trace[0], ("y",)))
+    record = json.loads(next(trace_json(out.trace, ("y",))))
     assert record == {
         "kind": "j_wrap",
         "before": "H (\\x.x) y",
         "after": "(\\x.x) (H y)",
         "t_steps": 0,
     }
+
+
+def test_trace_json_chains_each_after_into_the_next_before():
+    out = run(term("H (\\x.x) y"), Strategy.JT, 10, keep_trace=True)
+    records = [json.loads(line) for line in trace_json(out.trace, ("y",))]
+    assert [r["kind"] for r in records] == ["j_wrap", "t", "j_drop"]
+    for previous, record in zip(records, records[1:]):
+        assert record["before"] == previous["after"]
+    assert records[-1]["after"] == "y"
+    # an entry that does not chain is formatted on its own
+    lone = json.loads(next(trace_json(out.trace[1:], ("y",))))
+    assert lone["before"] == "(\\x.x) (H y)"
+
+
+def test_every_outcome_reports_its_aux_steps():
+    def aux_in_trace(out):
+        return sum(1 for e in out.trace if e.kind is not StepKind.T)
+
+    kinds = set()
+    for t in enumerate_terms(6, free_vars=2):
+        for strategy in (Strategy.PURE_I, Strategy.PURE_J, Strategy.IT, Strategy.JT):
+            for fuel in (0, 1, 3):
+                for max_state in (None, 8):
+                    out = run(t, strategy, fuel, keep_trace=True, max_state=max_state)
+                    assert out.aux_steps == aux_in_trace(out), (t, strategy, fuel, max_state)
+                    kinds.add(type(out))
+    assert kinds == {Hnf, FuelExhausted}
+    # no term of size 6 outgrows a budget of 8 within three t-steps; the
+    # doubler outgrows 64 five t-steps in
+    out = run(term(DOUBLER), Strategy.JT, 100, keep_trace=True, max_state=64)
+    assert isinstance(out, Overflow)
+    assert out.aux_steps == aux_in_trace(out) > 0
 
 
 # ---------- the state budget ----------

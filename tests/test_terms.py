@@ -20,16 +20,14 @@ from lambdah.terms import (
     alpha_eq,
     is_closed,
     is_hnf,
-    is_well_scoped,
     max_free_index,
-    recompose,
     shift,
     size,
     spine,
     subst_const_h,
     substitute,
 )
-from oracles import oracle_substitute
+from oracles import oracle_substitute, recompose
 
 
 def term(text, frees=None):
@@ -217,10 +215,10 @@ def test_scoping_helpers():
     assert is_closed(term("\\x.x"))
     assert not is_closed(term("x y"))
     assert max_free_index(term("x y")) == 1
-    assert is_well_scoped(term("x y"), 2)
-    assert not is_well_scoped(term("x y"), 1)
+    assert term("x y").fv <= 2
+    assert not term("x y").fv <= 1
     for t in enumerate_terms(5, free_vars=2):
-        assert is_well_scoped(t, 2)
+        assert t.fv <= 2
 
 
 # ---------- the free-index bound ----------
