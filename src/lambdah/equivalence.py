@@ -400,6 +400,7 @@ _PROBES: tuple[Term, ...] = (
     Abs(Abs(Var(1))),
     Abs(App(Var(0), H)),
 )
+_PROBE_IMAGES = tuple(extract(value) for value in _PROBES)
 
 
 @dataclass(slots=True)
@@ -450,9 +451,10 @@ def _extract_collapse(t: Term):
 def _extract_substitution(t: Term):
     if not isinstance(t, Abs):
         return _SKIP
-    for value in _PROBES:
+    body_image = extract(t.body)
+    for value, value_image in zip(_PROBES, _PROBE_IMAGES):
         lhs = extract(substitute(t.body, value))
-        rhs = extract(substitute(extract(t.body), extract(value)))
+        rhs = extract(substitute(body_image, value_image))
         if lhs != rhs:
             return f"{_show(t)} with {_show(value)}"
     return None

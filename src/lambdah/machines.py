@@ -23,10 +23,21 @@ Strategies:
             one t-step; halts at head normal form.
     JT      same with J-steps.
 
-A strategy is data to ``run``: whether it takes t-steps, and which
-auxiliary contraction (I, J or none) it applies at an applied H; ``run``
-looks both up once per call.  Every outcome, Hnf, FuelExhausted and
-Overflow alike, reports the t-steps and the auxiliary steps taken.
+A strategy is data to ``run``: its value spells whether it takes
+t-steps and which auxiliary family (I, J or none) it applies at an
+applied H, and ``run`` reads both once per call.  Every outcome, Hnf,
+FuelExhausted and Overflow alike, reports the t-steps and the auxiliary
+steps taken.
+
+``run`` keeps its state unwound, in the manner of Krivine's machine:
+a binder count, a head term, and the head's arguments on a stack with
+the first on top.  A step contracts the head against the top of the
+stack, and settling the new head pushes its own applications, so a
+step costs the size of the new head's spine (plus the substitution's
+walk down the redex body), not the size of the state.  A ``Term`` is
+read back from the three parts only for an outcome, an AuxCapExceeded
+message or a trace entry.  The single steps ``t_step``, ``i_step`` and
+``j_step`` unwind, contract and read back through the same helpers.
 
 ``fuel`` bounds t-steps only.  I/J-steps are bounded separately by
 ``cap_aux``: each burst of consecutive auxiliary steps between t-steps
@@ -56,16 +67,13 @@ from enum import Enum
 from typing import Iterator, Sequence
 
 from .syntax import format_term
-from .terms import (
+from .terms import (  # spine is unused here but stays a name perfbench patches
     Abs,
     App,
+    ConstH,
     H,
-    HeadH,
-    HeadRedex,
-    SpineView,
     Term,
     Var,
-    apply_args,
     size,
     spine,
     substitute,
@@ -133,78 +141,97 @@ class AuxCapExceeded(Exception):
     pure I- and J-reduction both terminate."""
 
 
-def _rebuild(view: SpineView, base: Term, args: Sequence[Term]) -> Term:
-    t = apply_args(base, args)
-    for _ in range(view.binders):
+# ---------- the unwound state ----------
+
+# A state ``lam^binders. head a1 .. an`` is held in three parts: the
+# binder count, the head term, and the arguments as a list with a1 on
+# top (last).  Settling pushes the head's applications onto the list and
+# strips a binder only while no argument is waiting, so a settled head is
+# a variable, H, or an abstraction with an argument waiting: a beta redex.
+
+
+def _settle(binders: int, head: Term, stack: list[Term]) -> tuple[int, Term]:
+    while True:
+        cls = head.__class__
+        if cls is App:
+            stack.append(head.arg)
+            head = head.fun
+        elif cls is Abs and not stack:
+            binders += 1
+            head = head.body
+        else:
+            return binders, head
+
+
+def _unwind(t: Term) -> tuple[int, Term, list[Term]]:
+    stack: list[Term] = []
+    binders, head = _settle(0, t, stack)
+    return binders, head, stack
+
+
+def _contract(kind: StepKind, head: Term, stack: list[Term]) -> Term:
+    """Contract a settled head in place and return the new head, not yet
+    settled: the body with the top argument substituted for a t-step,
+    the top argument itself otherwise, with the next one wrapped in H
+    for a j_wrap."""
+    arg = stack.pop()
+    if kind is StepKind.T:
+        return substitute(head.body, arg)
+    if kind is StepKind.J_WRAP:
+        stack[-1] = App(H, stack[-1])
+    return arg
+
+
+def _readback(binders: int, head: Term, stack: list[Term]) -> Term:
+    t = head
+    for arg in reversed(stack):
+        t = App(t, arg)
+    for _ in range(binders):
         t = Abs(t)
     return t
 
 
-def _contract_t(view: SpineView) -> Term:
-    head = view.head
-    assert isinstance(head, HeadRedex)
-    fun = head.fun
-    assert isinstance(fun, Abs)
-    return _rebuild(view, substitute(fun.body, head.arg), view.args)
-
-
-def _contract_i(view: SpineView) -> tuple[Term, StepKind]:
-    return _rebuild(view, view.args[0], view.args[1:]), StepKind.I
-
-
-def _contract_j(view: SpineView) -> tuple[Term, StepKind]:
-    args = view.args
-    if len(args) == 1:
-        return _rebuild(view, args[0], ()), StepKind.J_DROP
-    wrapped = (App(H, args[1]),) + args[2:]
-    return _rebuild(view, args[0], wrapped), StepKind.J_WRAP
+def _j_kind(stack: list[Term]) -> StepKind:
+    return StepKind.J_DROP if len(stack) == 1 else StepKind.J_WRAP
 
 
 def t_step(t: Term) -> Term:
     """One head beta step."""
-    view = spine(t)
-    if not isinstance(view.head, HeadRedex):
+    binders, head, stack = _unwind(t)
+    if not isinstance(head, Abs):
         raise NotATRedex(f"head is not a beta redex: {format_term(t)}")
-    return _contract_t(view)
+    return _readback(binders, _contract(StepKind.T, head, stack), stack)
 
 
 def i_step(t: Term) -> Term:
     """Drop the head H in front of its arguments."""
-    view = spine(t)
-    if not isinstance(view.head, HeadH) or not view.args:
+    binders, head, stack = _unwind(t)
+    if not isinstance(head, ConstH) or not stack:
         raise NotAnIRedex(f"head is not an applied H: {format_term(t)}")
-    return _contract_i(view)[0]
+    return _readback(binders, _contract(StepKind.I, head, stack), stack)
 
 
 def j_step(t: Term) -> Term:
     """Move the head H onto the second argument, or drop it if there is
     only one."""
-    view = spine(t)
-    if not isinstance(view.head, HeadH) or not view.args:
+    binders, head, stack = _unwind(t)
+    if not isinstance(head, ConstH) or not stack:
         raise NotAJRedex(f"head is not an applied H: {format_term(t)}")
-    return _contract_j(view)[0]
+    return _readback(binders, _contract(_j_kind(stack), head, stack), stack)
 
 
 # ---------- machine ----------
 
 
 class Strategy(Enum):
+    """A strategy's value spells the step families it takes: ``t`` for
+    t-steps, and ``i`` or ``j`` first for its auxiliary contraction."""
+
     T_HEAD = "t"
     PURE_I = "i"
     PURE_J = "j"
     IT = "it"
     JT = "jt"
-
-
-# each strategy as data: the contraction it applies at an applied H, if
-# any, and whether it takes t-steps
-_STRATEGY_STEPS = {
-    Strategy.T_HEAD: (None, True),
-    Strategy.PURE_I: (_contract_i, False),
-    Strategy.PURE_J: (_contract_j, False),
-    Strategy.IT: (_contract_i, True),
-    Strategy.JT: (_contract_j, True),
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,10 +264,11 @@ class Overflow:
 MachineOutcome = Hnf | FuelExhausted | Overflow
 
 # Default state budget for strategies that take auxiliary bursts.  The
-# recursions over a state (substitution, the size probe itself) go as
-# deep as the term does, and a native stack holds roughly 16k frames of
-# them; one t-step after an in-budget burst at most doubles the depth,
-# so 4096 leaves a wide margin.
+# size probe and the readback of a state are iterative; only the
+# substitution of a t-step recurses, as deep as the redex body and the
+# substituted value reach, and a native stack holds roughly 16k frames of
+# it.  One t-step after an in-budget burst at most doubles the depth, so
+# 4096 leaves a wide margin.
 DEFAULT_MAX_STATE = 4096
 
 
@@ -260,55 +288,64 @@ def run(
     Returns FuelExhausted after ``fuel`` t-steps with work remaining,
     and Overflow when a burst would start from a state bigger than
     ``max_state`` nodes (default DEFAULT_MAX_STATE); both mean the run
-    is undecided.
+    is undecided.  The outcome holds ``t`` itself if no step was taken,
+    and with ``keep_trace`` every entry's ``before`` is the previous
+    entry's ``after`` and the outcome holds the last one.
     """
     trace: list[TraceEntry] | None = [] if keep_trace else None
-    contract_aux, takes_t = _STRATEGY_STEPS[strategy]
+    families = strategy.value
+    takes_t = "t" in families
+    aux = families[0] if families[0] != "t" else None
     budget = max_state if max_state is not None else DEFAULT_MAX_STATE
-    t_steps = 0
-    aux_steps = 0
-    aux_since_t = 0
-    burst_cap = 0
+    # the state as a Term while one is at hand: the input, then the last
+    # traced state; None once an untraced step has moved past it
+    state: Term | None = t
+    binders, head, stack = _unwind(t)
+    t_steps = aux_steps = aux_since_t = burst_cap = 0
     while True:
-        view = spine(t)
-        head = view.head
-        if contract_aux is not None and isinstance(head, HeadH) and view.args:
+        if aux is not None and isinstance(head, ConstH) and stack:
             if aux_since_t == 0:
-                state_size = size(t)
+                # size of the state, without reading it back
+                state_size = binders + size(head) + sum(size(a) + 1 for a in stack)
                 if state_size > budget:
-                    return Overflow(t, t_steps, _freeze(trace), aux_steps)
+                    stop = Overflow
+                    break
                 # generous per-burst default: pure J-reduction is
                 # observed to need well under 10 * size steps, and pure
                 # I needs at most size // 2
                 burst_cap = cap_aux if cap_aux is not None else 10 * state_size + 100
             if aux_since_t >= burst_cap:
-                family = "i" if contract_aux is _contract_i else "j"
-                raise AuxCapExceeded(
-                    f"{aux_since_t} consecutive {family}-steps "
-                    f"(cap {burst_cap}) from {format_term(t)}"
-                )
-            before = t
-            t, kind = contract_aux(view)
+                stop = AuxCapExceeded
+                break
+            kind = StepKind.I if aux == "i" else _j_kind(stack)
             aux_steps += 1
             aux_since_t += 1
-            if trace is not None:
-                trace.append(TraceEntry(kind, before, t, t_steps))
-            continue
-        if takes_t and isinstance(head, HeadRedex):
+        elif takes_t and isinstance(head, Abs):
             if t_steps >= fuel:
-                return FuelExhausted(t, t_steps, _freeze(trace), aux_steps)
-            before = t
-            t = _contract_t(view)
+                stop = FuelExhausted
+                break
+            kind = StepKind.T
             t_steps += 1
             aux_since_t = 0
-            if trace is not None:
-                trace.append(TraceEntry(StepKind.T, before, t, t_steps))
-            continue
-        return Hnf(t, t_steps, aux_steps, _freeze(trace))
-
-
-def _freeze(trace: list[TraceEntry] | None) -> tuple[TraceEntry, ...] | None:
-    return tuple(trace) if trace is not None else None
+        else:
+            stop = Hnf
+            break
+        binders, head = _settle(binders, _contract(kind, head, stack), stack)
+        if trace is None:
+            state = None
+        else:
+            after = _readback(binders, head, stack)
+            trace.append(TraceEntry(kind, state, after, t_steps))
+            state = after
+    if state is None:
+        state = _readback(binders, head, stack)
+    if stop is AuxCapExceeded:
+        raise AuxCapExceeded(
+            f"{aux_since_t} consecutive {aux}-steps "
+            f"(cap {burst_cap}) from {format_term(state)}"
+        )
+    frozen = tuple(trace) if trace is not None else None
+    return stop(state, t_steps, trace=frozen, aux_steps=aux_steps)
 
 
 def solvable(t: Term, fuel: int, keep_trace: bool = False) -> MachineOutcome:

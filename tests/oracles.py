@@ -1,17 +1,31 @@
 """Independent oracles the tests check the library against.
 
-Nothing here imports library internals beyond the term constructors
-and the spine view's head cases: the counting recurrence is plain
-arithmetic on the grammar, ``recompose`` rebuilds a term from its spine
-view by the grammar alone, and the substitution oracle works on named
-trees with eager renaming, the textbook definition that de Bruijn
-indices are supposed to implement.
+The counting recurrence is plain arithmetic on the grammar,
+``recompose`` rebuilds a term from its spine view by the grammar alone,
+and the substitution oracle works on named trees with eager renaming,
+the textbook definition that de Bruijn indices are supposed to
+implement.  ``reference_run`` is the machine driver written the direct
+way: it re-reads the whole state through ``spine`` before every step and
+rebuilds the whole state after it, so it shares only the outcome types
+and ``substitute`` with the unwound machine it checks.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from lambdah.machines import (
+    DEFAULT_MAX_STATE,
+    AuxCapExceeded,
+    FuelExhausted,
+    Hnf,
+    MachineOutcome,
+    Overflow,
+    StepKind,
+    Strategy,
+    TraceEntry,
+)
+from lambdah.syntax import format_term
 from lambdah.terms import (
     Abs,
     App,
@@ -24,6 +38,9 @@ from lambdah.terms import (
     Term,
     Var,
     apply_args,
+    size,
+    spine,
+    substitute,
 )
 
 
@@ -146,3 +163,92 @@ def oracle_substitute(body: Term, value: Term) -> Term:
     named_value = _to_named(value, [], counter)
     result = _named_subst(named_body, "@hole", named_value, counter)
     return _from_named(result, [])
+
+
+# ---------- reference machine driver ----------
+
+
+def _rebuild(view: SpineView, base: Term, args) -> Term:
+    t = apply_args(base, args)
+    for _ in range(view.binders):
+        t = Abs(t)
+    return t
+
+
+def _ref_contract_t(view: SpineView) -> Term:
+    head = view.head
+    return _rebuild(view, substitute(head.fun.body, head.arg), view.args)
+
+
+def _ref_contract_i(view: SpineView) -> tuple[Term, StepKind]:
+    return _rebuild(view, view.args[0], view.args[1:]), StepKind.I
+
+
+def _ref_contract_j(view: SpineView) -> tuple[Term, StepKind]:
+    args = view.args
+    if len(args) == 1:
+        return _rebuild(view, args[0], ()), StepKind.J_DROP
+    wrapped = (App(H, args[1]),) + args[2:]
+    return _rebuild(view, args[0], wrapped), StepKind.J_WRAP
+
+
+_REF_STEPS = {
+    Strategy.T_HEAD: (None, True),
+    Strategy.PURE_I: (_ref_contract_i, False),
+    Strategy.PURE_J: (_ref_contract_j, False),
+    Strategy.IT: (_ref_contract_i, True),
+    Strategy.JT: (_ref_contract_j, True),
+}
+
+
+def reference_run(
+    t: Term,
+    strategy: Strategy,
+    fuel: int,
+    cap_aux: int | None = None,
+    keep_trace: bool = False,
+    max_state: int | None = None,
+) -> MachineOutcome:
+    """``machines.run`` by whole-state rewriting: one spine view per
+    step, one rebuilt state after it, one size walk per burst."""
+    trace: list[TraceEntry] | None = [] if keep_trace else None
+    contract_aux, takes_t = _REF_STEPS[strategy]
+    budget = max_state if max_state is not None else DEFAULT_MAX_STATE
+    t_steps = aux_steps = aux_since_t = burst_cap = 0
+
+    def frozen():
+        return tuple(trace) if trace is not None else None
+
+    while True:
+        view = spine(t)
+        head = view.head
+        if contract_aux is not None and isinstance(head, HeadH) and view.args:
+            if aux_since_t == 0:
+                state_size = size(t)
+                if state_size > budget:
+                    return Overflow(t, t_steps, frozen(), aux_steps)
+                burst_cap = cap_aux if cap_aux is not None else 10 * state_size + 100
+            if aux_since_t >= burst_cap:
+                family = "i" if contract_aux is _ref_contract_i else "j"
+                raise AuxCapExceeded(
+                    f"{aux_since_t} consecutive {family}-steps "
+                    f"(cap {burst_cap}) from {format_term(t)}"
+                )
+            before = t
+            t, kind = contract_aux(view)
+            aux_steps += 1
+            aux_since_t += 1
+            if trace is not None:
+                trace.append(TraceEntry(kind, before, t, t_steps))
+            continue
+        if takes_t and isinstance(head, HeadRedex):
+            if t_steps >= fuel:
+                return FuelExhausted(t, t_steps, frozen(), aux_steps)
+            before = t
+            t = _ref_contract_t(view)
+            t_steps += 1
+            aux_since_t = 0
+            if trace is not None:
+                trace.append(TraceEntry(StepKind.T, before, t, t_steps))
+            continue
+        return Hnf(t, t_steps, aux_steps, frozen())

@@ -1,7 +1,7 @@
 """Machine tests: step rules, strategies, fuel and cap accounting."""
 
 import json
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -39,10 +39,12 @@ from lambdah.terms import (
     HeadVar,
     Var,
     alpha_eq,
+    apply_args,
     is_hnf,
     size,
     spine,
 )
+from oracles import reference_run
 
 
 def term(text, frees=None):
@@ -283,6 +285,121 @@ def test_t_only_reduction_ignores_the_state_budget():
     out = run(OMEGA, Strategy.T_HEAD, 10, max_state=1)
     assert isinstance(out, FuelExhausted)
     assert out.t_steps == 10
+
+
+# ---------- the unwound machine against the reference driver ----------
+
+
+def outcome_text(driver, *args, **kwargs):
+    """repr of the outcome, or the text of the raised cap error."""
+    try:
+        return repr(driver(*args, **kwargs))
+    except AuxCapExceeded as exc:
+        return f"AuxCapExceeded: {exc}"
+
+
+def assert_trace_chains_by_identity(t, out):
+    """Each traced state is one object: the input starts the chain, each
+    ``after`` is the next ``before``, and the outcome holds the last."""
+    final = out.result if isinstance(out, Hnf) else out.last
+    previous = t
+    for entry in out.trace:
+        assert entry.before is previous
+        previous = entry.after
+    assert final is previous
+
+
+def test_run_matches_the_reference_driver_on_every_small_term():
+    budgets = list(product((0, 1, 3), (None, 8, 13)))
+    for t in enumerate_terms(6, free_vars=2):
+        for strategy in Strategy:
+            for keep_trace in (False, True):
+                for fuel, max_state in budgets:
+                    args = (t, strategy, fuel)
+                    kwargs = dict(keep_trace=keep_trace, max_state=max_state)
+                    assert outcome_text(run, *args, **kwargs) == outcome_text(
+                        reference_run, *args, **kwargs
+                    ), (t, strategy, fuel, max_state, keep_trace)
+                    if keep_trace:
+                        assert_trace_chains_by_identity(t, run(*args, **kwargs))
+            for cap_aux in (0, 1, 2):
+                args = (t, strategy, 3, cap_aux, True)
+                assert outcome_text(run, *args) == outcome_text(reference_run, *args)
+
+
+def test_the_state_budget_counts_every_node_of_the_unwound_state():
+    # budgets either side of the input's size: the first burst overflows
+    # exactly when the whole state, binders and applications included,
+    # is over the budget
+    overflows = 0
+    for t in enumerate_terms(6, free_vars=2):
+        for strategy in (Strategy.PURE_I, Strategy.PURE_J, Strategy.IT, Strategy.JT):
+            for max_state in (size(t) - 1, size(t)):
+                args = (t, strategy, 3)
+                text = outcome_text(run, *args, max_state=max_state)
+                assert text == outcome_text(reference_run, *args, max_state=max_state)
+                overflows += text.startswith("Overflow")
+    assert overflows > 0
+
+
+def test_run_matches_the_reference_driver_on_the_duplicator():
+    u = term(DOUBLER)
+    for strategy in Strategy:
+        for keep_trace in (False, True):
+            args = (u, strategy, 100)
+            kwargs = dict(keep_trace=keep_trace, max_state=64)
+            assert outcome_text(run, *args, **kwargs) == outcome_text(
+                reference_run, *args, **kwargs
+            )
+    out = run(u, Strategy.JT, 100, keep_trace=True, max_state=64)
+    assert isinstance(out, Overflow)
+    assert_trace_chains_by_identity(u, out)
+
+
+def test_an_outcome_without_a_step_holds_the_input_itself():
+    for text in ("\\x.x", "(\\x.x) y", "H y"):
+        t = term(text)
+        for strategy in Strategy:
+            out = run(t, strategy, 0, max_state=1)
+            assert (out.result if isinstance(out, Hnf) else out.last) is t
+
+
+def test_single_steps_match_the_reference_driver():
+    steps = {Strategy.T_HEAD: t_step, Strategy.PURE_I: i_step, Strategy.PURE_J: j_step}
+    for t in enumerate_terms(6, free_vars=2):
+        for strategy, step in steps.items():
+            first = reference_run(t, strategy, 1, keep_trace=True).trace
+            if first:
+                assert step(t) == first[0].after, (t, strategy)
+
+
+def h_tower(n, t):
+    for _ in range(n):
+        t = App(H, t)
+    return t
+
+
+def test_an_i_burst_over_a_long_spine():
+    # H H .. H x with 20,000 arguments: every i-step drops one, and the
+    # machine never rebuilds the spine it has not reached
+    t = apply_args(H, [H] * 19999 + [Var(0)])
+    assert run(t, Strategy.PURE_I, 0, max_state=10**6) == Hnf(Var(0), 0, 20000)
+
+
+def test_a_j_wrap_burst_over_a_long_spine():
+    # H^n y a2 .. an with n = 20,000: n j_wraps move the whole tower onto
+    # a2, each on a spine of 20,000 arguments, to reach y (H^n a2) a3 .. an
+    n = 20000
+    rest = [Var(2 + k % 3) for k in range(n - 1)]
+    out = run(apply_args(h_tower(n, Var(0)), rest), Strategy.PURE_J, 0, max_state=10**6)
+    assert isinstance(out, Hnf) and out.aux_steps == n
+    view = spine(out.result)
+    assert view.head == HeadVar(0)
+    assert view.args[1:] == tuple(rest[1:])
+    wrapped, height = view.args[0], 0
+    while isinstance(wrapped, App) and wrapped.fun is H:
+        wrapped, height = wrapped.arg, height + 1
+    assert (wrapped, height) == (rest[0], n)
 
 
 # ---------- solvability ----------
