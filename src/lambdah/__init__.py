@@ -77,7 +77,6 @@ from .terms import (
     Term,
     Var,
     alpha_eq,
-    app_head,
     apply_args,
     is_closed,
     is_hnf,
@@ -98,7 +97,7 @@ __all__ = [
     "LiftWitness", "LockstepReport", "MachineOutcome", "NotAJRedex",
     "NotATRedex", "NotAnIRedex", "OMEGA", "ParseError", "ShapeViolation",
     "SpineView", "StepKind", "Strategy", "SuiteReport", "Term", "TraceEntry",
-    "UnboundVariable", "Var", "Y", "alpha_eq", "app_head", "apply_args",
+    "UnboundVariable", "Var", "Y", "alpha_eq", "apply_args",
     "classify", "enumerate_terms", "extract", "format_term", "has_applied_h",
     "i_step", "is_closed", "is_hnf", "j_step", "lemma_suite", "lift_j_trace",
     "lockstep", "max_free_index", "pair_stream", "parse_term", "read_corpus",

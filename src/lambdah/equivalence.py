@@ -30,7 +30,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .extraction import ShapeViolation, classify, extract, has_applied_h
 from .gen import wrap_applied_h
 from .machines import (
-    AuxCapExceeded,
     Hnf,
     I,
     J,
@@ -49,6 +48,7 @@ from .syntax import format_term, parse_term, source_lines
 from .terms import (
     Abs,
     App,
+    ConstH,
     H,
     HeadH,
     HeadRedex,
@@ -121,7 +121,6 @@ class _Side:
 
     strategy: Strategy
     state: Term
-    cap_aux: int | None
     max_state: int | None
     t_steps: int = 0
     aux_steps: int = 0
@@ -131,7 +130,7 @@ class _Side:
         """Take up to ``fuel`` t-steps, each with the burst it exposes;
         fuel 0 takes only the pending burst.  False if the state
         outgrew the budget."""
-        out = run(self.state, self.strategy, fuel, self.cap_aux, max_state=self.max_state)
+        out = run(self.state, self.strategy, fuel, max_state=self.max_state)
         self.t_steps += out.t_steps
         self.aux_steps += out.aux_steps
         self.done = isinstance(out, Hnf)
@@ -142,7 +141,7 @@ class _Side:
 def lockstep(
     u: Term,
     max_t: int,
-    cap_aux: int | None = None,
+    *,
     max_state: int | None = None,
 ) -> LockstepReport:
     """Run IT and JT on ``u`` in lockstep, comparing extraction images
@@ -153,10 +152,11 @@ def lockstep(
     the same equality as pausing immediately after the t-step.  When one
     machine halts, the other gets the rest of the ``max_t`` budget.  A
     side that outgrows the state budget ends the run with the same
-    verdicts as running out of paired steps.
+    verdicts as running out of paired steps.  The bursts need no budget
+    of their own: ``machines.run`` bounds each one by a proof.
     """
-    side_i = _Side(Strategy.IT, u, cap_aux, max_state)
-    side_j = _Side(Strategy.JT, u, cap_aux, max_state)
+    side_i = _Side(Strategy.IT, u, max_state)
+    side_j = _Side(Strategy.JT, u, max_state)
     checkpoints: list[Checkpoint] = []
     fits = side_i.advance(0) and side_j.advance(0)
     equal = True
@@ -218,7 +218,7 @@ class AgreementRow:
 def theorem_check(
     u: Term,
     fuel: int,
-    cap_aux: int | None = None,
+    *,
     j_fuel_ratio: int = 20,
     max_state: int | None = None,
 ) -> AgreementRow:
@@ -232,12 +232,14 @@ def theorem_check(
     while the other reaches one is therefore reported as a
     disagreement, although running out of fuel alone says nothing about
     solvability.  Both-unknown rows are tallied separately in reports.
-    A machine side that outgrows the state budget counts as unknown.
+    The two machine sides take ``fuel`` t-steps, their bursts bounded by
+    the proof in ``machines.run``; a side that outgrows the state budget
+    counts as unknown.
     """
     verdict_i = run(subst_const_h(u, I), Strategy.T_HEAD, fuel)
     verdict_j = run(subst_const_h(u, J), Strategy.T_HEAD, fuel * j_fuel_ratio)
-    verdict_it = run(u, Strategy.IT, fuel, cap_aux, max_state=max_state)
-    verdict_jt = run(u, Strategy.JT, fuel, cap_aux, max_state=max_state)
+    verdict_it = run(u, Strategy.IT, fuel, max_state=max_state)
+    verdict_jt = run(u, Strategy.JT, fuel, max_state=max_state)
     agree = solved(verdict_i) == solved(verdict_j)
     return AgreementRow(u, verdict_i, verdict_j, verdict_it, verdict_jt, agree)
 
@@ -511,11 +513,30 @@ def _j_step_invariant(t: Term):
     return None
 
 
+def _h_times_apps(t: Term) -> int:
+    """h * a for a term with h H-nodes and a applications: the most
+    J-steps a burst from it can take (proved in ``machines.run``)."""
+    h = a = 0
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        cls = node.__class__
+        if cls is App:
+            a += 1
+            todo.append(node.fun)
+            todo.append(node.arg)
+        elif cls is Abs:
+            todo.append(node.body)
+        elif cls is ConstH:
+            h += 1
+    return h * a
+
+
 def _pure_i_terminates(t: Term):
-    try:
-        out = run(t, Strategy.PURE_I, 0, cap_aux=size(t) // 2 + 1, keep_trace=True)
-    except AuxCapExceeded as exc:
-        return f"{_show(t)}: {exc}"
+    out = run(t, Strategy.PURE_I, 0, keep_trace=True)
+    # each I-step removes two nodes and at least one is left
+    if out.aux_steps > size(t) // 2:
+        return f"{_show(t)}: {out.aux_steps} I-steps from {size(t)} nodes"
     for entry in out.trace:
         if size(entry.after) != size(entry.before) - 2:
             return f"{_show(t)}: non-shrinking I-step"
@@ -523,10 +544,10 @@ def _pure_i_terminates(t: Term):
 
 
 def _pure_j_terminates(t: Term):
-    try:
-        out = run(t, Strategy.PURE_J, 0, cap_aux=10 * size(t), keep_trace=True)
-    except AuxCapExceeded as exc:
-        return f"{_show(t)}: {exc}"
+    out = run(t, Strategy.PURE_J, 0, keep_trace=True)
+    bound = _h_times_apps(t)
+    if out.aux_steps > bound:
+        return f"{_show(t)}: {out.aux_steps} J-steps, more than h * a = {bound}"
     for entry in out.trace:
         if extract(entry.after) != extract(entry.before):
             return f"{_show(t)}: image moved"
@@ -608,7 +629,7 @@ def _make_context_agreement(fuel: int) -> Callable:
 
 
 def _lift_replays(t: Term):
-    out = run(t, Strategy.PURE_J, 0, cap_aux=10 * size(t) + 100, keep_trace=True)
+    out = run(t, Strategy.PURE_J, 0, keep_trace=True)
     prefix = []
     for entry in out.trace:
         if spine(entry.before).binders:

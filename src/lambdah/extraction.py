@@ -29,25 +29,24 @@ from .terms import (
     HeadRedex,
     HeadVar,
     Term,
-    app_head,
-    apply_args,
     spine,
-    unwind_app,
 )
 
 
 def extract(t: Term) -> Term:
-    match t:
-        case App(fun, arg):
-            if isinstance(app_head(t), ConstH):
-                # t = H U1 .. Un with n >= 1: drop the H and extract what is left
-                _, args = unwind_app(t)
-                return extract(apply_args(args[0], args[1:]))
-            return App(extract(fun), extract(arg))
-        case Abs(body):
-            return Abs(extract(body))
-        case _:
-            return t
+    args: list[Term] = []  # the spine's arguments, the first on top
+    while True:
+        while t.__class__ is App:
+            args.append(t.arg)
+            t = t.fun
+        if t.__class__ is not ConstH or not args:
+            break
+        # H U1 .. Un with n >= 1: U1 takes over as the operator
+        t = args.pop()
+    image = Abs(extract(t.body)) if t.__class__ is Abs else t
+    for arg in reversed(args):
+        image = App(image, extract(arg))
+    return image
 
 
 class EShape(Enum):
@@ -90,12 +89,17 @@ def has_applied_h(t: Term) -> bool:
     Extraction images must answer False everywhere, not just at the
     root; H may survive extraction only in argument position.
     """
-    match t:
-        case App(fun, arg):
-            if isinstance(app_head(fun), ConstH):
-                return True
-            return has_applied_h(fun) or has_applied_h(arg)
-        case Abs(body):
-            return has_applied_h(body)
-        case _:
-            return False
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        applied = False
+        while t.__class__ is App:
+            todo.append(t.arg)
+            t = t.fun
+            applied = True
+        cls = t.__class__
+        if applied and cls is ConstH:
+            return True
+        if cls is Abs:
+            todo.append(t.body)
+    return False

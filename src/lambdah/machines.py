@@ -39,19 +39,20 @@ read back from the three parts only for an outcome, an AuxCapExceeded
 message or a trace entry.  The single steps ``t_step``, ``i_step`` and
 ``j_step`` unwind, contract and read back through the same helpers.
 
-``fuel`` bounds t-steps only.  I/J-steps are bounded separately by
-``cap_aux``: each burst of consecutive auxiliary steps between t-steps
-may not exceed the cap (for the pure strategies the whole run is one
-burst).  Running out of fuel means "unknown", and FuelExhausted says
-nothing about solvability; exceeding the auxiliary cap, by contrast,
-would contradict the termination of pure I/J-reduction and is raised as
-an error rather than reported as an outcome.
+``fuel`` bounds t-steps only.  Running out of fuel means "unknown", and
+FuelExhausted says nothing about solvability.  I/J-steps need no budget
+of their own: a burst of consecutive auxiliary steps between t-steps
+(for the pure strategies the whole run is one burst) that starts from a
+state of ``size`` nodes takes at most ``size * size // 4`` steps, as the
+comment at the guard in ``run`` proves.  A burst that outruns this bound
+contradicts the proof, so ``run`` raises AuxCapExceeded, a bug, rather
+than reporting an outcome.
 
 Every single burst is finite, but the states between bursts can still
 grow without bound.  Under JT a term like ``H (\\x.x x) (\\x.x x)``
 doubles its chain of head Hs at every t-step: the wrap burst pushes the
 whole chain onto the argument, and the beta step then duplicates that
-argument.  No burst outruns its cap, yet the aggregate work (and the
+argument.  No burst outruns its bound, yet the aggregate work (and the
 depth of the states) is exponential in the fuel.  ``max_state`` guards
 against this: when a burst is about to start from a state bigger than
 the budget, the run stops with Overflow, which like fuel exhaustion
@@ -137,8 +138,8 @@ class NotAJRedex(StepError):
 
 
 class AuxCapExceeded(Exception):
-    """A burst of I/J-steps outran its cap; this indicates a bug, since
-    pure I- and J-reduction both terminate."""
+    """A burst of I/J-steps outran the bound ``size * size // 4`` that
+    ``run`` proves for it; this indicates a bug."""
 
 
 # ---------- the unwound state ----------
@@ -276,7 +277,7 @@ def run(
     t: Term,
     strategy: Strategy,
     fuel: int,
-    cap_aux: int | None = None,
+    *,
     keep_trace: bool = False,
     max_state: int | None = None,
 ) -> MachineOutcome:
@@ -290,7 +291,8 @@ def run(
     ``max_state`` nodes (default DEFAULT_MAX_STATE); both mean the run
     is undecided.  The outcome holds ``t`` itself if no step was taken,
     and with ``keep_trace`` every entry's ``before`` is the previous
-    entry's ``after`` and the outcome holds the last one.
+    entry's ``after`` and the outcome holds the last one.  A burst that
+    outruns its proven bound raises AuxCapExceeded.
     """
     trace: list[TraceEntry] | None = [] if keep_trace else None
     families = strategy.value
@@ -310,10 +312,17 @@ def run(
                 if state_size > budget:
                     stop = Overflow
                     break
-                # generous per-burst default: pure J-reduction is
-                # observed to need well under 10 * size steps, and pure
-                # I needs at most size // 2
-                burst_cap = cap_aux if cap_aux is not None else 10 * state_size + 100
+                # A burst from a state with h H-nodes and a applications
+                # takes at most h * a steps.  No aux step adds an App: an
+                # i-step or j_drop deletes one App and one H, and a j_wrap
+                # trades the App it pops for the one it builds around the
+                # next argument.  So the stack never holds more than a
+                # arguments.  A j_wrap from a stack n high leaves its H
+                # around slot n - 1, and slots below the top never move,
+                # so that H next reaches the head over a stack n - 1
+                # high.  Each H is thus at the head at most a times, and
+                # h * a <= (h + a)**2 // 4 <= size**2 // 4.
+                burst_cap = state_size * state_size // 4
             if aux_since_t >= burst_cap:
                 stop = AuxCapExceeded
                 break

@@ -199,13 +199,6 @@ def is_closed(t: Term) -> bool:
 # ---------- application spine helpers ----------
 
 
-def app_head(t: Term) -> Term:
-    """Base of the iterated application t = base a1 .. an (no binder stripping)."""
-    while isinstance(t, App):
-        t = t.fun
-    return t
-
-
 def unwind_app(t: Term) -> tuple[Term, tuple[Term, ...]]:
     """Split t into its application base and argument list, left to right."""
     args: list[Term] = []

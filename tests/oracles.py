@@ -8,6 +8,7 @@ implement.  ``reference_run`` is the machine driver written the direct
 way: it re-reads the whole state through ``spine`` before every step and
 rebuilds the whole state after it, so it shares only the outcome types
 and ``substitute`` with the unwound machine it checks.
+``count_h_and_apps`` counts the two kinds of node that bound a burst.
 """
 
 from __future__ import annotations
@@ -205,7 +206,7 @@ def reference_run(
     t: Term,
     strategy: Strategy,
     fuel: int,
-    cap_aux: int | None = None,
+    *,
     keep_trace: bool = False,
     max_state: int | None = None,
 ) -> MachineOutcome:
@@ -227,7 +228,7 @@ def reference_run(
                 state_size = size(t)
                 if state_size > budget:
                     return Overflow(t, t_steps, frozen(), aux_steps)
-                burst_cap = cap_aux if cap_aux is not None else 10 * state_size + 100
+                burst_cap = state_size * state_size // 4
             if aux_since_t >= burst_cap:
                 family = "i" if contract_aux is _ref_contract_i else "j"
                 raise AuxCapExceeded(
@@ -252,3 +253,21 @@ def reference_run(
                 trace.append(TraceEntry(StepKind.T, before, t, t_steps))
             continue
         return Hnf(t, t_steps, aux_steps, frozen())
+
+
+def count_h_and_apps(t: Term) -> tuple[int, int]:
+    """The number of H-nodes and of applications in t: a pure burst
+    from t takes at most h * a J-steps and h I-steps."""
+    h = a = 0
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        match node:
+            case App(fun, arg):
+                a += 1
+                todo += (fun, arg)
+            case Abs(body):
+                todo.append(body)
+            case ConstH():
+                h += 1
+    return h, a

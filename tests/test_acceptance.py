@@ -54,7 +54,7 @@ from lambdah.terms import (
     substitute,
     unwind_app,
 )
-from oracles import count_terms, oracle_substitute
+from oracles import count_h_and_apps, count_terms, oracle_substitute
 
 SEED = 7
 LOCKSTEP_SEED = 11
@@ -136,16 +136,19 @@ def test_single_aux_steps_preserve_the_image(corpus):
 def test_pure_strategies_terminate_within_their_caps(corpus):
     i_steps = j_steps = 0
     for t in corpus:
-        # cap size//2 + 1 is tight: each I-step removes exactly two nodes
-        out = run(t, Strategy.PURE_I, 0, cap_aux=size(t) // 2 + 1, keep_trace=True)
+        # each I-step removes exactly two nodes, so at most size // 2 of them
+        out = run(t, Strategy.PURE_I, 0, keep_trace=True)
+        assert isinstance(out, Hnf) and out.aux_steps <= size(t) // 2, format_term(t)
         for entry in out.trace:
             assert size(entry.after) == size(entry.before) - 2, format_term(t)
         i_steps += out.aux_steps
-        out = run(t, Strategy.PURE_J, 0, cap_aux=10 * size(t))
+        h, a = count_h_and_apps(t)
+        out = run(t, Strategy.PURE_J, 0)
+        assert isinstance(out, Hnf) and out.aux_steps <= h * a, format_term(t)
         j_steps += out.aux_steps
     print(
         f"PASS termination: {len(corpus)} terms, {i_steps} I-steps all shrinking, "
-        f"{j_steps} J-steps under cap 10*size, no cap exceeded"
+        f"{j_steps} J-steps, each run within h*a"
     )
 
 

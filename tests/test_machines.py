@@ -1,10 +1,14 @@
-"""Machine tests: step rules, strategies, fuel and cap accounting."""
+"""Machine tests: step rules, strategies, fuel and burst-bound accounting."""
 
 import json
 from itertools import islice, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lambdah import machines
+from lambdah.cli import main
 from lambdah.extraction import extract
 from lambdah.gen import GenConfig, enumerate_terms, term_stream
 from lambdah.machines import (
@@ -44,7 +48,7 @@ from lambdah.terms import (
     size,
     spine,
 )
-from oracles import reference_run
+from oracles import count_h_and_apps, reference_run
 
 
 def term(text, frees=None):
@@ -170,14 +174,79 @@ def test_run_pure_strategies_stop_when_head_is_not_applied_h():
     assert out.aux_steps == 0
 
 
-def test_run_pure_j_terminates_within_ten_times_size():
+def test_run_pure_j_terminates_within_h_times_a():
     for t in enumerate_terms(6, free_vars=1):
-        run(t, Strategy.PURE_J, 0, cap_aux=10 * size(t))
+        h, a = count_h_and_apps(t)
+        out = run(t, Strategy.PURE_J, 0)
+        assert isinstance(out, Hnf) and out.aux_steps <= h * a, t
 
 
-def test_run_tiny_cap_aux_raises():
-    with pytest.raises(AuxCapExceeded):
-        run(term("H H H H x"), Strategy.PURE_I, 0, cap_aux=1)
+# H H .. H w with n Hs: the head H wraps the n - 1 others in turn, so
+# the burst takes n + (n - 1) + .. + 1 = n(n + 1)/2 j-steps
+H_100_W = "H " * 100 + "w"
+
+
+def test_a_long_j_burst_is_legal():
+    t = term(H_100_W)
+    for strategy in (Strategy.PURE_J, Strategy.JT):
+        assert run(t, strategy, 0) == Hnf(Var(0), 0, 5050)
+
+
+@pytest.mark.parametrize("strategy", ["j", "jt"])
+def test_a_long_j_burst_is_legal_on_the_command_line(capsys, strategy):
+    assert main(["reduce", H_100_W, "--strategy", strategy]) == 0
+    assert capsys.readouterr().out == "hnf (t_steps=0, aux_steps=5050)\nw\n"
+
+
+h_leaves = st.sampled_from([H, H, Var(0), Var(1)])
+
+
+@st.composite
+def deep_h_terms(draw):
+    # one long spine grown by binders, applications and H wrappers
+    t = draw(h_leaves)
+    for step in draw(st.lists(st.sampled_from("bfah"), max_size=300)):
+        if step == "b":
+            t = Abs(t)
+        elif step == "f":
+            t = App(t, draw(h_leaves))
+        elif step == "a":
+            t = App(draw(h_leaves), t)
+        else:
+            t = App(H, t)
+    return t
+
+
+wide_h_terms = st.recursive(
+    h_leaves,
+    lambda sub: st.one_of(
+        st.builds(Abs, sub), st.builds(App, sub, sub), st.builds(App, st.just(H), sub)
+    ),
+    max_leaves=100,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(deep_h_terms(), wide_h_terms))
+def test_pure_bursts_stay_within_their_proven_bounds(t):
+    h, a = count_h_and_apps(t)
+    out = run(t, Strategy.PURE_J, 0)
+    assert isinstance(out, Hnf) and out.aux_steps <= h * a
+    out = run(t, Strategy.PURE_I, 0)
+    assert isinstance(out, Hnf) and out.aux_steps <= h
+
+
+def test_a_burst_that_outruns_its_bound_raises(monkeypatch):
+    # a contraction that leaves the head in place never ends a burst, so
+    # only the guard stops it, after size**2 // 4 steps
+    monkeypatch.setattr(machines, "_contract", lambda kind, head, stack: head)
+    for text in ("H x", "H x y", "\\z.H H z"):
+        t = term(text)
+        cap = size(t) ** 2 // 4
+        for strategy in (Strategy.PURE_I, Strategy.PURE_J, Strategy.IT, Strategy.JT):
+            message = rf"^{cap} consecutive [ij]-steps \(cap {cap}\) from "
+            with pytest.raises(AuxCapExceeded, match=message):
+                run(t, strategy, 1)
 
 
 def test_run_is_deterministic():
@@ -249,7 +318,7 @@ def test_every_outcome_reports_its_aux_steps():
 # H applied to a self-applicator twice is the worst case for JT: the
 # wrap burst moves the whole chain of head Hs onto the argument, and the
 # beta step then duplicates that argument, so the chain doubles at every
-# t-step.  Each burst stays within its cap; the growth is across bursts.
+# t-step.  Each burst stays within its bound; the growth is across bursts.
 DOUBLER = "H (\\x.x x) (\\x.x x)"
 
 
@@ -322,9 +391,6 @@ def test_run_matches_the_reference_driver_on_every_small_term():
                     ), (t, strategy, fuel, max_state, keep_trace)
                     if keep_trace:
                         assert_trace_chains_by_identity(t, run(*args, **kwargs))
-            for cap_aux in (0, 1, 2):
-                args = (t, strategy, 3, cap_aux, True)
-                assert outcome_text(run, *args) == outcome_text(reference_run, *args)
 
 
 def test_the_state_budget_counts_every_node_of_the_unwound_state():
