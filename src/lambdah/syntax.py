@@ -24,6 +24,18 @@ emits minimal parentheses, uses backslash for lambda, and draws binder
 names from a fixed supply, so printing then re-parsing is the identity
 on nameless terms.  Both directions keep their work on explicit stacks,
 so the depth of a term is bounded by memory, not by the recursion limit.
+
+Both directions also know the H-tower ``H (H (.. (H M)))``, the shape
+that the J reading of H builds and a JT trace prints over and over.
+The tokenizer reads a maximal run of "H (" openers as one token, and a
+maximal run of ")" closers as another, whatever whitespace and comments
+stand between their pieces.  The parser pushes a run of n openers as
+two frames: the first opener, which applies the application to its
+left to H (so "f H (x)" still reads "(f H) x"), and a count for the
+other n - 1, each of whose left is H.  A run of closers wraps H around
+the finished term in one loop.  The printer walks a tower in one loop
+and emits its "(H " openers and its ")" closers as one string each.
+Errors still point at the piece of a run where the parse fails.
 """
 
 from __future__ import annotations
@@ -32,7 +44,7 @@ import re
 from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .terms import Abs, App, H, Term, Var
+from .terms import Abs, App, ConstH, H, Term, Var
 
 
 class ParseError(Exception):
@@ -61,22 +73,36 @@ def source_lines(lines: Iterable[str]) -> Iterator[str]:
 
 # ---------- tokenizer ----------
 
-# Each match skips whitespace and comments, then captures one token: a
-# lambda or punctuation mark, a word (letters and digits, the class of
-# str.isalnum), any other single character, or the empty string once,
-# at the end of the text.  Whatever follows a maximal skip is a token,
-# so the skip never backtracks into a comment.
-_TOKEN = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*([\\λ.()]|[^\W_]+|[^ \t\r\n#]|\Z)")
+# Whitespace and comments.  A comment runs to the end of its line: the
+# lookahead keeps it from stopping sooner, so a gap splits into skips in
+# exactly one way and a match that fails after one backtracks through
+# it in linear time.  The plain (?:[ \t\r\n]+|#[^\n]*)* is exponential
+# in the length of the gap there, and Python 3.10 has no atomic groups.
+_SKIP = r"[ \t\r\n]*(?:#[^\n]*(?![^\n])[ \t\r\n]*)*"
 
-# Token kinds.  The first four are the tokens an atom can start with.
-_IDENT, _CONSTH, _UPPER, _LPAREN, _LAMBDA, _DOT, _RPAREN, _EOF, _BAD = range(9)
+# Each match skips a gap, then captures one token: a maximal run of
+# "H (" openers, a maximal run of ")" closers (a run keeps the gaps
+# inside it), a lambda or other punctuation mark, a word (letters and
+# digits, the class of str.isalnum), any other single character, or the
+# empty string once, at the end of the text.  Whatever follows a maximal
+# skip is a token, so the leading skip never backtracks.
+_TOKEN = re.compile(
+    _SKIP
+    + rf"(H{_SKIP}\((?:{_SKIP}H{_SKIP}\()*|\)(?:{_SKIP}\))*"
+    + r"|[\\λ.(]|[^\W_]+|[^ \t\r\n#]|\Z)"
+)
+
+# the pieces of a run, one match each: "H", "(" or ")"
+_PIECE = re.compile(_SKIP + r"([H()])")
+
+# Token kinds.  The first five are the tokens an atom can start with.
+_IDENT, _CONSTH, _UPPER, _HRUN, _LPAREN, _LAMBDA, _DOT, _RPAREN, _EOF, _BAD = range(10)
 
 _PUNCTUATION = {
     "\\": _LAMBDA,
     "λ": _LAMBDA,
     ".": _DOT,
     "(": _LPAREN,
-    ")": _RPAREN,
     "H": _CONSTH,
     "": _EOF,
 }
@@ -89,14 +115,25 @@ def _word_kind(word: str) -> int:
     return _IDENT if c.islower() else _UPPER
 
 
-def _error(text: str, index: int, message: str) -> ParseError:
-    """A ParseError located at token ``index`` of ``text``.
+def _run_length(run: str) -> int:
+    """The number of openers or closers in a run token."""
+    paren = run[-1]
+    if "#" in run:  # a comment inside may hold parentheses of its own
+        return _PIECE.findall(run).count(paren)
+    return run.count(paren)
+
+
+def _error(text: str, index: int, message: str, piece: int = 0) -> ParseError:
+    """A ParseError located at token ``index`` of ``text``, or at its
+    ``piece``-th piece if the token is a run.
 
     Positions are recovered only here, by scanning again.  Columns count
     characters from 1; the end of input sits where a comment on the last
     line begins, if there is one.
     """
     start = next(islice(_TOKEN.finditer(text), index, None)).start(1)
+    if piece:
+        start = next(islice(_PIECE.finditer(text, start), piece, None)).start(1)
     line_start = text.rfind("\n", 0, start) + 1
     if start == len(text):
         comment = text.find("#", line_start)
@@ -105,8 +142,13 @@ def _error(text: str, index: int, message: str) -> ParseError:
     return ParseError(message, text.count("\n", 0, start) + 1, start - line_start + 1)
 
 
+def _first(token: str) -> str:
+    """A token as a message names it: a run by its first piece."""
+    return token[0] if len(token) > 1 and token[-1] in "()" else token
+
+
 def _shown(token: str) -> str:
-    return repr(token or "end of input")
+    return repr(_first(token) or "end of input")
 
 
 # ---------- parser ----------
@@ -136,8 +178,17 @@ def parse_term(
 
     tokens = _TOKEN.findall(text)
     kinds = dict(_PUNCTUATION)
+    runs: dict[str, int] = {}  # run token -> its number of openers or closers
     for word in set(tokens).difference(kinds):
-        kinds[word] = _word_kind(word)
+        last = word[-1]
+        if last == "(":
+            kinds[word] = _HRUN
+            runs[word] = _run_length(word)
+        elif last == ")":
+            kinds[word] = _RPAREN
+            runs[word] = _run_length(word)
+        else:
+            kinds[word] = _word_kind(word)
     ks = list(map(kinds.__getitem__, tokens))
     if _BAD in ks:
         # the first character outside the grammar wins over any other error
@@ -154,9 +205,10 @@ def parse_term(
     depth = 0
     unbound: str | None = None
     # Pending work, innermost last: a list of binder names for an
-    # abstraction whose body is being read, or, for an open parenthesis,
-    # the application to its left (None if it starts one).  The text
-    # itself is the outermost frame.
+    # abstraction whose body is being read; for an open parenthesis, the
+    # application to its left (None if it starts one); or a count n for
+    # n nested "H (" openers, each of whose left is H.  The text itself
+    # is the outermost frame.
     frames: list = [_OUTERMOST]
     pos = 0
     k = ks[0]
@@ -201,6 +253,16 @@ def parse_term(
                     t = Var(depth + i)
             elif k == _CONSTH:
                 t = H
+            elif k == _HRUN:
+                # the first opener applies the application so far to H,
+                # as "f H (x)" reads "(f H) x"; the rest are one frame
+                frames.append(H if acc is None else App(acc, H))
+                n = runs[tokens[pos]]
+                if n > 1:
+                    frames.append(n - 1)
+                pos += 1
+                k = ks[pos]
+                break
             elif k == _LPAREN:
                 frames.append(acc)
                 pos += 1
@@ -216,32 +278,53 @@ def parse_term(
             pos += 1
             k = ks[pos]
             # no further atom: the application ends, and so do the
-            # abstractions around it, up to a closing parenthesis
+            # abstractions around it, up to a run of closing parentheses
             while k > _LPAREN:
                 if k == _LAMBDA:
                     raise _error(
                         text, pos, "abstraction in argument position must be parenthesised"
                     )
                 t = acc
-                left = frames.pop()
-                while left.__class__ is list:
-                    for name in left:
-                        t = Abs(t)
-                        scope[name].pop()
-                        depth -= 1
+                closers = runs[tokens[pos]] if k == _RPAREN else 0
+                closed = 0
+                while True:
                     left = frames.pop()
-                if left is _OUTERMOST:
-                    if k != _EOF:
-                        raise _error(
-                            text, pos, f"unexpected trailing input {tokens[pos]!r}"
-                        )
-                    if unbound is not None:
-                        raise UnboundVariable(unbound)
-                    names = tuple(free) if implicit else free_vars
-                    return t, names
-                if k != _RPAREN:
-                    raise _error(text, pos, f"expected ')', found {_shown(tokens[pos])}")
-                acc = t if left is None else App(left, t)
+                    while left.__class__ is list:
+                        for name in left:
+                            t = Abs(t)
+                            scope[name].pop()
+                            depth -= 1
+                        left = frames.pop()
+                    if left is _OUTERMOST:
+                        if k != _EOF:
+                            raise _error(
+                                text,
+                                pos,
+                                f"unexpected trailing input {_first(tokens[pos])!r}",
+                                closed,
+                            )
+                        if unbound is not None:
+                            raise UnboundVariable(unbound)
+                        names = tuple(free) if implicit else free_vars
+                        return t, names
+                    if k != _RPAREN:
+                        raise _error(text, pos, f"expected ')', found {_shown(tokens[pos])}")
+                    if left.__class__ is int:  # close up to `left` H levels at once
+                        n = closers - closed
+                        if n < left:
+                            frames.append(left - n)
+                        else:
+                            n = left
+                        closed += n
+                        for _ in range(n):
+                            t = App(H, t)
+                    else:
+                        closed += 1
+                        if left is not None:
+                            t = App(left, t)
+                    if closed == closers:
+                        break
+                acc = t
                 pos += 1
                 k = ks[pos]
 
@@ -294,6 +377,23 @@ def format_term(t: Term, free_vars: Sequence[str] = ()) -> str:
         t, where = item
         cls = t.__class__
         if cls is App:
+            if t.fun.__class__ is ConstH:
+                # an H-tower H (H (.. (H M))): each level but the first is
+                # an argument, so it prints as one opening and one closing
+                # string around M
+                n = 1
+                t = t.arg
+                while t.__class__ is App and t.fun.__class__ is ConstH:
+                    n += 1
+                    t = t.arg
+                if where == _ARG:
+                    out.append("(H " * n)
+                    todo.append(")" * n)
+                else:
+                    out.append("H " + "(H " * (n - 1))
+                    todo.append(")" * (n - 1))
+                todo.append((t, _ARG))
+                continue
             if where == _ARG:
                 out.append("(")
                 todo.append(")")

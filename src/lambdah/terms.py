@@ -328,19 +328,39 @@ def substitute(body: Term, value: Term) -> Term:
 
 
 def subst_const_h(t: Term, m: Term) -> Term:
-    """Replace every occurrence of the constant H by the closed term m."""
+    """Replace every occurrence of the constant H by the closed term m.
+
+    A subterm without H comes back as itself.  The walk keeps its work
+    on explicit stacks, so a term of any depth is replaced without
+    recursion.
+    """
     if not is_closed(m):
         raise ValueError("replacement for H must be closed")
-
-    def go(t: Term) -> Term:
-        match t:
-            case ConstH():
-                return m
-            case Abs(body):
-                return Abs(go(body))
-            case App(fun, arg):
-                return App(go(fun), go(arg))
-            case _:
-                return t
-
-    return go(t)
+    done: list[Term] = []  # replaced subterms not yet taken by their parent
+    # Work, next item last: a term to replace, or an App or Abs in a
+    # 1-tuple, to rebuild from its replaced children at the end of done.
+    todo: list = [t]
+    while todo:
+        x = todo.pop()
+        cls = x.__class__
+        if cls is App:
+            todo += ((x,), x.arg, x.fun)
+        elif cls is Abs:
+            todo += ((x,), x.body)
+        elif cls is ConstH:
+            done.append(m)
+        elif cls is Var:
+            done.append(x)
+        else:
+            x = x[0]
+            if x.__class__ is App:
+                a = done.pop()
+                f = done.pop()
+                if f is not x.fun or a is not x.arg:
+                    x = App(f, a)
+            else:
+                b = done.pop()
+                if b is not x.body:
+                    x = Abs(b)
+            done.append(x)
+    return done[0]

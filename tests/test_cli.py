@@ -141,6 +141,18 @@ def test_fmt_reads_a_file(capsys, tmp_path):
     assert lines(capsys) == ["(\\x.x) (H y)"]
 
 
+def test_fmt_reads_back_every_state_of_a_jt_trace(capsys, monkeypatch):
+    # the duplicator's JT states are mostly H-towers, 2.8 MB in all
+    assert main(["reduce", "H (\\x.x x) (\\x.x x)", "--strategy", "jt", "--trace"]) == 0
+    out = lines(capsys)
+    assert len(out) == 1037
+    assert out[-2] == "state outgrew the budget after 11 t-steps"
+    states = "".join(line.split(None, 1)[1] + "\n" for line in out[:-2])
+    monkeypatch.setattr("sys.stdin", io.StringIO(states))
+    assert main(["fmt", "-"]) == 0
+    assert capsys.readouterr().out == states
+
+
 # ---------- check ----------
 
 

@@ -1,12 +1,17 @@
 """Parser and printer tests: grammar corners, errors, round-trips."""
 
+import random
+import re
 import sys
+import time
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lambdah.gen import GenConfig, enumerate_terms, term_stream
-from lambdah.machines import BUILTINS, OMEGA
+from lambdah.gen import GenConfig, enumerate_terms, term_stream, wrap_applied_h
+from lambdah.machines import BUILTINS, I, OMEGA
 from lambdah.syntax import (
     ParseError,
     UnboundVariable,
@@ -84,6 +89,18 @@ def test_parse_shadowing_binds_innermost():
         # x² is one identifier, so the error is the trailing parenthesis
         pytest.param("λx².x² )", "unexpected trailing input ')'", 1, 8,
                      id="superscript-in-identifier"),
+        # a run of closers or "H (" openers reads as one token, but an
+        # error inside it points at the piece where the parse fails
+        pytest.param("(x))", "unexpected trailing input ')'", 1, 4, id="closer-run"),
+        pytest.param("H (H (x)))", "unexpected trailing input ')'", 1, 10,
+                     id="closer-run-after-tower"),
+        pytest.param("H (H (x)", "expected ')', found 'end of input'", 1, 9,
+                     id="tower-left-open"),
+        pytest.param("H (H ( )", "expected a term, found ')'", 1, 8, id="empty-tower"),
+        pytest.param("H # c\n(H (x)) )", "unexpected trailing input ')'", 2, 9,
+                     id="runs-across-a-comment"),
+        pytest.param("\\H (x).x", "expected binder name, found 'H'", 1, 2,
+                     id="tower-as-binder"),
     ],
 )
 def test_parse_error_reports_position(text, message, line, col):
@@ -145,6 +162,37 @@ def test_an_open_constant_is_rejected():
         parse_term("K", constants={"K": Var(0)})
 
 
+def test_h_before_a_parenthesis_mid_application_is_an_argument():
+    # the first "H (" of a run applies what precedes it to H
+    t, names = parse_term("f H (x)")
+    assert names == ("f", "x")
+    assert t == App(App(Var(0), H), Var(1))
+    assert parse_term("f H (H (x)) y")[0] == App(
+        App(App(Var(0), H), App(H, Var(1))), Var(2)
+    )
+
+
+def test_a_word_that_starts_with_h_is_a_constant_not_a_tower():
+    t, names = parse_term("Hx (y)", constants={"Hx": I})
+    assert names == ("y",)
+    assert t == App(I, Var(0))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("H" + " " * 10_000 + "x", id="spaces"),
+        pytest.param("H" + "\n# a comment ( H (" * 10_000 + "\nx", id="comment-lines"),
+    ],
+)
+def test_a_long_gap_after_h_tokenizes_in_linear_time(text):
+    # a gap that backtracks exponentially takes seconds at 22 spaces
+    start = time.perf_counter()
+    t, names = parse_term(text)
+    assert time.perf_counter() - start < 0.5
+    assert (t, names) == (App(H, Var(0)), ("x",))
+
+
 def test_source_lines_drop_comments_and_blanks_lazily():
     def lines():
         yield "x  # a comment\n"
@@ -168,6 +216,12 @@ def test_format_uses_minimal_parentheses():
         "(\\x.x) y",
         "\\x.x (\\y.y) H",
         "x ((\\y.y) z)",
+        # H-towers in top, operator and argument position, and under a binder
+        "H (H (H x))",
+        "H (H x) y",
+        "f (H (H (\\x.x)))",
+        "\\x.H (H x) (H (H H))",
+        "H (H (x y)) (H (H (H (H z))))",
     ]
     for text in cases:
         t, names = parse_term(text)
@@ -202,6 +256,41 @@ def test_round_trip_on_random_terms():
         names = tuple(f"v{i}" for i in range(max_free_index(t) + 1))
         text = format_term(t, names)
         assert parse_term(text, names)[0] == t
+
+
+# gaps that may stand between two tokens of printed text; comments hold
+# parentheses and H, which must not count towards a run
+_GAPS = ["", " ", "  \t", "\n", "\r\n ", " # (H ( ))\n", "#)\n"]
+_PRINTED_TOKEN = re.compile(r"[\\.()]|[^\W_]+")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    density=st.floats(0.4, 0.9),
+    data=st.data(),
+)
+def test_towers_round_trip_through_any_spacing(seed, density, data):
+    # dense (H _) wrappers put towers in operator, argument and top
+    # position and under binders; the text is then re-spaced at token
+    # boundaries, which must not change the term it reads as
+    base = next(term_stream(GenConfig(seed=seed, max_size=16, free_vars=2)))
+    t = wrap_applied_h(base, random.Random(seed), density)
+    names = tuple(f"v{i}" for i in range(max_free_index(t) + 1))
+    text = format_term(t, names)
+    assert parse_term(text, names)[0] == t
+    tokens = _PRINTED_TOKEN.findall(text)
+    assert "".join(tokens) == text.replace(" ", "")
+    gaps = data.draw(st.lists(st.sampled_from(_GAPS), min_size=len(tokens) + 1,
+                              max_size=len(tokens) + 1))
+    pieces = []
+    for i, token in enumerate(tokens):
+        gap = gaps[i]
+        if not gap and i and tokens[i - 1][-1].isalnum() and token[0].isalnum():
+            gap = " "  # two words need a gap between them
+        pieces += (gap, token)
+    pieces.append(gaps[-1])
+    assert parse_term("".join(pieces), names)[0] == t
 
 
 def test_format_names_are_deterministic():

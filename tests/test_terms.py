@@ -1,6 +1,7 @@
 """Core term tests: spine views, hnf, substitution, H replacement."""
 
 import pickle
+import sys
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -200,6 +201,34 @@ def test_subst_const_h_replaces_every_occurrence():
 def test_subst_const_h_rejects_open_replacement():
     with pytest.raises(ValueError):
         subst_const_h(H, Var(0))
+
+
+def test_subst_const_h_returns_h_free_subterms_as_they_are():
+    identity = Abs(Var(0))
+    t = term("\\x.x (\\y.y x) (H z)")
+    out = subst_const_h(t, identity)
+    assert out == term("\\x.x (\\y.y x) ((\\y.y) z)")
+    assert out.body.fun is t.body.fun  # x (\y.y x) holds no H
+    assert out.body.arg.arg is t.body.arg.arg
+    closed = term("\\x.x x")
+    assert subst_const_h(closed, identity) is closed
+
+
+def test_subst_const_h_walks_a_tall_tower_without_recursion():
+    n = 100_000
+    tower = term("H (" * (n - 1) + "H x" + ")" * (n - 1))
+    identity = Abs(Var(0))
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        out = subst_const_h(tower, identity)
+    finally:
+        sys.setrecursionlimit(saved)
+    # walk the result down: term equality itself recurses
+    for _ in range(n):
+        assert out.__class__ is App and out.fun is identity
+        out = out.arg
+    assert out == Var(0)
 
 
 # ---------- sizes and scoping ----------
