@@ -75,6 +75,7 @@ from .terms import (
     HeadVar,
     SpineView,
     Term,
+    Tower,
     Var,
     alpha_eq,
     apply_args,
@@ -96,8 +97,8 @@ __all__ = [
     "HeadH", "HeadRedex", "HeadVar", "Hnf", "I", "InvalidTrace", "J",
     "LiftWitness", "LockstepReport", "MachineOutcome", "NotAJRedex",
     "NotATRedex", "NotAnIRedex", "OMEGA", "ParseError", "ShapeViolation",
-    "SpineView", "StepKind", "Strategy", "SuiteReport", "Term", "TraceEntry",
-    "UnboundVariable", "Var", "Y", "alpha_eq", "apply_args",
+    "SpineView", "StepKind", "Strategy", "SuiteReport", "Term", "Tower",
+    "TraceEntry", "UnboundVariable", "Var", "Y", "alpha_eq", "apply_args",
     "classify", "enumerate_terms", "extract", "format_term", "has_applied_h",
     "i_step", "is_closed", "is_hnf", "j_step", "lemma_suite", "lift_j_trace",
     "lockstep", "max_free_index", "pair_stream", "parse_term", "read_corpus",

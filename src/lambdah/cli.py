@@ -99,9 +99,8 @@ def _cmd_reduce(args) -> int:
             "outcome": word,
             "term": format_term(final, names),
             "t_steps": outcome.t_steps,
+            "aux_steps": outcome.aux_steps,
         }
-        if isinstance(outcome, Hnf):
-            record["aux_steps"] = outcome.aux_steps
         print(json.dumps(record))
     elif isinstance(outcome, Hnf):
         print(f"hnf (t_steps={outcome.t_steps}, aux_steps={outcome.aux_steps})")

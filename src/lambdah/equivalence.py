@@ -53,6 +53,7 @@ from .terms import (
     HeadH,
     HeadRedex,
     Term,
+    Tower,
     Var,
     alpha_eq,
     apply_args,
@@ -529,6 +530,10 @@ def _h_times_apps(t: Term) -> int:
             todo.append(node.body)
         elif cls is ConstH:
             h += 1
+        elif cls is Tower:
+            h += node.height
+            a += node.height
+            todo.append(node.base)
     return h * a
 
 

@@ -29,6 +29,7 @@ from .terms import (
     HeadRedex,
     HeadVar,
     Term,
+    Tower,
     spine,
 )
 
@@ -39,10 +40,15 @@ def extract(t: Term) -> Term:
         while t.__class__ is App:
             args.append(t.arg)
             t = t.fun
-        if t.__class__ is not ConstH or not args:
+        cls = t.__class__
+        if cls is Tower:
+            # H^n U1 U2 .. Un: all n H's go at once, and U1 takes over
+            t = t.base
+        elif cls is ConstH and args:
+            # H U1 .. Un with n >= 1, where H was the base of a tower
+            t = args.pop()
+        else:
             break
-        # H U1 .. Un with n >= 1: U1 takes over as the operator
-        t = args.pop()
     image = Abs(extract(t.body)) if t.__class__ is Abs else t
     for arg in reversed(args):
         image = App(image, extract(arg))
@@ -87,18 +93,18 @@ def has_applied_h(t: Term) -> bool:
     """True if any application node's operator spine ends in H.
 
     Extraction images must answer False everywhere, not just at the
-    root; H may survive extraction only in argument position.
+    root; H may survive extraction only in argument position.  An
+    applied H is always the bottom of a tower, so this is whether t
+    holds a tower.
     """
     todo = [t]
     while todo:
         t = todo.pop()
-        applied = False
         while t.__class__ is App:
             todo.append(t.arg)
             t = t.fun
-            applied = True
         cls = t.__class__
-        if applied and cls is ConstH:
+        if cls is Tower:
             return True
         if cls is Abs:
             todo.append(t.body)

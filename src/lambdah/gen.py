@@ -104,21 +104,36 @@ def wrap_applied_h(
 
     With ``protect_head`` the binder prefix and operator spine of the
     whole term are left unwrapped, so a head redex stays a head redex.
+    Subterms are visited in post-order, operator before argument, with a
+    tower taken one H at a time, and each unprotected one draws its coin
+    once its children are done.  The walk keeps its work on explicit
+    stacks, so a term of any depth is wrapped without recursion.
     """
-
-    def go(t: Term, protected: bool) -> Term:
-        match t:
-            case Abs(body):
-                new: Term = Abs(go(body, protected))
-            case App(fun, arg):
-                new = App(go(fun, protected), go(arg, False))
-            case _:
-                new = t
+    done: list[Term] = []  # wrapped subterms not yet taken by their parent
+    # Work, next item last: (term, protected) to visit, or (node,
+    # protected, None) to rebuild from its wrapped children in done.
+    todo: list = [(t, protect_head)]
+    while todo:
+        item = todo.pop()
+        node, protected = item[0], item[1]
+        if len(item) == 3:
+            if isinstance(node, Abs):
+                new = Abs(done.pop())
+            else:
+                arg = done.pop()
+                new = App(done.pop(), arg)
+        elif isinstance(node, Abs):
+            todo += ((node, protected, None), (node.body, protected))
+            continue
+        elif isinstance(node, App):
+            todo += ((node, protected, None), (node.arg, False), (node.fun, protected))
+            continue
+        else:
+            new = node
         if not protected and rng.random() < density:
             new = App(H, new)
-        return new
-
-    return go(t, protect_head)
+        done.append(new)
+    return done[0]
 
 
 def pair_stream(cfg: GenConfig, density: float = 0.25) -> Iterator[tuple[Term, Term]]:

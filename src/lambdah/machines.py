@@ -39,6 +39,15 @@ read back from the three parts only for an outcome, an AuxCapExceeded
 message or a trace entry.  The single steps ``t_step``, ``i_step`` and
 ``j_step`` unwind, contract and read back through the same helpers.
 
+An applied H at the head is a tower ``H^n U1`` (see ``terms.Tower``),
+and its n levels are n auxiliary steps of one kind, since the stack
+below it keeps its height while they run: ``H^n U1 U2 ..`` becomes
+``U1 (H^n U2) ..`` by n j_wraps, ``H^n U1`` alone becomes ``U1`` by n
+j_drops, and n i-steps leave ``U1 U2 ..``.  Without a trace ``run``
+takes the whole tower in one contraction and counts its n steps; with
+``keep_trace`` it takes one level per entry, so the trace lists every
+step.  Outcomes, step counts and budgets are the same either way.
+
 ``fuel`` bounds t-steps only.  Running out of fuel means "unknown", and
 FuelExhausted says nothing about solvability.  I/J-steps need no budget
 of their own: a burst of consecutive auxiliary steps between t-steps
@@ -50,14 +59,20 @@ than reporting an outcome.
 
 Every single burst is finite, but the states between bursts can still
 grow without bound.  Under JT a term like ``H (\\x.x x) (\\x.x x)``
-doubles its chain of head Hs at every t-step: the wrap burst pushes the
-whole chain onto the argument, and the beta step then duplicates that
-argument.  No burst outruns its bound, yet the aggregate work (and the
-depth of the states) is exponential in the fuel.  ``max_state`` guards
-against this: when a burst is about to start from a state bigger than
-the budget, the run stops with Overflow, which like fuel exhaustion
-means "unknown", never "unsolvable".  T_HEAD takes no auxiliary steps
-and therefore never consults the budget.
+doubles its tower of head Hs at every t-step: the wrap burst pushes the
+whole tower onto the argument, and the beta step then duplicates that
+argument, so after k t-steps the state stands for 2^(k+1) + 9 nodes
+and 2^k aux steps lie behind it.  Held as towers, those states are a
+handful of nodes and each burst is one contraction, so the run costs
+time linear in its t-steps; other terms can still grow states that no
+tower shares.  ``max_state`` bounds the size a burst may start from,
+counted in expanded nodes as ``size`` counts them: when a burst is
+about to start from a state bigger than the budget, the run stops with
+Overflow, which like fuel exhaustion means "unknown", never
+"unsolvable".  Counted that way, the budget stops a run at the same
+step as if every H were its own node, though for towers it no longer
+bounds memory.  T_HEAD takes no auxiliary steps and therefore never
+consults the budget.
 """
 
 from __future__ import annotations
@@ -74,6 +89,7 @@ from .terms import (  # spine is unused here but stays a name perfbench patches
     ConstH,
     H,
     Term,
+    Tower,
     Var,
     size,
     spine,
@@ -146,9 +162,12 @@ class AuxCapExceeded(Exception):
 
 # A state ``lam^binders. head a1 .. an`` is held in three parts: the
 # binder count, the head term, and the arguments as a list with a1 on
-# top (last).  Settling pushes the head's applications onto the list and
-# strips a binder only while no argument is waiting, so a settled head is
-# a variable, H, or an abstraction with an argument waiting: a beta redex.
+# top (last).  Settling pushes the head's applications onto the list,
+# strips a binder only while no argument is waiting, and folds an H
+# with an argument waiting into a tower.  So a settled head is a
+# variable, a bare H with no argument waiting, a tower (an applied H:
+# H^n U1 with U1 its base), or an abstraction with an argument waiting:
+# a beta redex.
 
 
 def _settle(binders: int, head: Term, stack: list[Term]) -> tuple[int, Term]:
@@ -160,6 +179,8 @@ def _settle(binders: int, head: Term, stack: list[Term]) -> tuple[int, Term]:
         elif cls is Abs and not stack:
             binders += 1
             head = head.body
+        elif cls is ConstH and stack:
+            head = App(H, stack.pop())
         else:
             return binders, head
 
@@ -170,17 +191,14 @@ def _unwind(t: Term) -> tuple[int, Term, list[Term]]:
     return binders, head, stack
 
 
-def _contract(kind: StepKind, head: Term, stack: list[Term]) -> Term:
-    """Contract a settled head in place and return the new head, not yet
-    settled: the body with the top argument substituted for a t-step,
-    the top argument itself otherwise, with the next one wrapped in H
-    for a j_wrap."""
-    arg = stack.pop()
-    if kind is StepKind.T:
-        return substitute(head.body, arg)
-    if kind is StepKind.J_WRAP:
-        stack[-1] = App(H, stack[-1])
-    return arg
+def _lower(head: Tower, n: int, wrap: bool, stack: list[Term]) -> Term:
+    """Take the top ``n`` levels of a tower at the head, one aux step
+    each, and return the new head, not yet settled: the tower n lower.
+    An i-step or j_drop drops its H; a j_wrap (``wrap``) moves it onto
+    the next argument, so n of them leave that argument in n more H's."""
+    if wrap:
+        stack[-1] = Tower(n, stack[-1])
+    return Tower(head.height - n, head.base)
 
 
 def _readback(binders: int, head: Term, stack: list[Term]) -> Term:
@@ -192,33 +210,29 @@ def _readback(binders: int, head: Term, stack: list[Term]) -> Term:
     return t
 
 
-def _j_kind(stack: list[Term]) -> StepKind:
-    return StepKind.J_DROP if len(stack) == 1 else StepKind.J_WRAP
-
-
 def t_step(t: Term) -> Term:
     """One head beta step."""
     binders, head, stack = _unwind(t)
-    if not isinstance(head, Abs):
+    if head.__class__ is not Abs:
         raise NotATRedex(f"head is not a beta redex: {format_term(t)}")
-    return _readback(binders, _contract(StepKind.T, head, stack), stack)
+    return _readback(binders, substitute(head.body, stack.pop()), stack)
 
 
 def i_step(t: Term) -> Term:
     """Drop the head H in front of its arguments."""
     binders, head, stack = _unwind(t)
-    if not isinstance(head, ConstH) or not stack:
+    if head.__class__ is not Tower:
         raise NotAnIRedex(f"head is not an applied H: {format_term(t)}")
-    return _readback(binders, _contract(StepKind.I, head, stack), stack)
+    return _readback(binders, _lower(head, 1, False, stack), stack)
 
 
 def j_step(t: Term) -> Term:
     """Move the head H onto the second argument, or drop it if there is
     only one."""
     binders, head, stack = _unwind(t)
-    if not isinstance(head, ConstH) or not stack:
+    if head.__class__ is not Tower:
         raise NotAJRedex(f"head is not an applied H: {format_term(t)}")
-    return _readback(binders, _contract(_j_kind(stack), head, stack), stack)
+    return _readback(binders, _lower(head, 1, bool(stack), stack), stack)
 
 
 # ---------- machine ----------
@@ -264,12 +278,12 @@ class Overflow:
 
 MachineOutcome = Hnf | FuelExhausted | Overflow
 
-# Default state budget for strategies that take auxiliary bursts.  The
-# size probe and the readback of a state are iterative; only the
-# substitution of a t-step recurses, as deep as the redex body and the
-# substituted value reach, and a native stack holds roughly 16k frames of
-# it.  One t-step after an in-budget burst at most doubles the depth, so
-# 4096 leaves a wide margin.
+# Default state budget for strategies that take auxiliary bursts,
+# counted in expanded nodes.  The size probe and the readback of a state
+# are iterative; only the substitution of a t-step recurses, as deep as
+# the redex body and the substituted value reach (a tower is one frame),
+# and a native stack holds roughly 16k frames of it.  One t-step after an
+# in-budget burst at most doubles the depth, so 4096 leaves a wide margin.
 DEFAULT_MAX_STATE = 4096
 
 
@@ -305,7 +319,7 @@ def run(
     binders, head, stack = _unwind(t)
     t_steps = aux_steps = aux_since_t = burst_cap = 0
     while True:
-        if aux is not None and isinstance(head, ConstH) and stack:
+        if aux is not None and head.__class__ is Tower:
             if aux_since_t == 0:
                 # size of the state, without reading it back
                 state_size = binders + size(head) + sum(size(a) + 1 for a in stack)
@@ -323,23 +337,32 @@ def run(
                 # high.  Each H is thus at the head at most a times, and
                 # h * a <= (h + a)**2 // 4 <= size**2 // 4.
                 burst_cap = state_size * state_size // 4
-            if aux_since_t >= burst_cap:
+            # Untraced, the whole tower goes in one contraction, as far as
+            # the cap allows: its n levels are n steps of one kind, as the
+            # stack below it keeps its height.  A trace takes one level.
+            n = min(head.height if trace is None else 1, burst_cap - aux_since_t)
+            if n <= 0:
                 stop = AuxCapExceeded
                 break
-            kind = StepKind.I if aux == "i" else _j_kind(stack)
-            aux_steps += 1
-            aux_since_t += 1
-        elif takes_t and isinstance(head, Abs):
+            if aux == "i":
+                kind = StepKind.I
+            else:
+                kind = StepKind.J_WRAP if stack else StepKind.J_DROP
+            aux_steps += n
+            aux_since_t += n
+            new = _lower(head, n, kind is StepKind.J_WRAP, stack)
+        elif takes_t and head.__class__ is Abs:
             if t_steps >= fuel:
                 stop = FuelExhausted
                 break
             kind = StepKind.T
             t_steps += 1
             aux_since_t = 0
+            new = substitute(head.body, stack.pop())
         else:
             stop = Hnf
             break
-        binders, head = _settle(binders, _contract(kind, head, stack), stack)
+        binders, head = _settle(binders, new, stack)
         if trace is None:
             state = None
         else:

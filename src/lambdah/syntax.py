@@ -32,9 +32,9 @@ maximal run of ")" closers as another, whatever whitespace and comments
 stand between their pieces.  The parser pushes a run of n openers as
 two frames: the first opener, which applies the application to its
 left to H (so "f H (x)" still reads "(f H) x"), and a count for the
-other n - 1, each of whose left is H.  A run of closers wraps H around
-the finished term in one loop.  The printer walks a tower in one loop
-and emits its "(H " openers and its ")" closers as one string each.
+other n - 1, each of whose left is H.  A run of closers that ends such
+a count builds one ``Tower`` node for all its levels, and the printer
+emits a tower's "(H " openers and its ")" closers as one string each.
 Errors still point at the piece of a run where the parse fails.
 """
 
@@ -44,7 +44,7 @@ import re
 from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .terms import Abs, App, ConstH, H, Term, Var
+from .terms import Abs, App, H, Term, Tower, Var
 
 
 class ParseError(Exception):
@@ -316,8 +316,7 @@ def parse_term(
                         else:
                             n = left
                         closed += n
-                        for _ in range(n):
-                            t = App(H, t)
+                        t = Tower(n, t)
                     else:
                         closed += 1
                         if left is not None:
@@ -377,23 +376,6 @@ def format_term(t: Term, free_vars: Sequence[str] = ()) -> str:
         t, where = item
         cls = t.__class__
         if cls is App:
-            if t.fun.__class__ is ConstH:
-                # an H-tower H (H (.. (H M))): each level but the first is
-                # an argument, so it prints as one opening and one closing
-                # string around M
-                n = 1
-                t = t.arg
-                while t.__class__ is App and t.fun.__class__ is ConstH:
-                    n += 1
-                    t = t.arg
-                if where == _ARG:
-                    out.append("(H " * n)
-                    todo.append(")" * n)
-                else:
-                    out.append("H " + "(H " * (n - 1))
-                    todo.append(")" * (n - 1))
-                todo.append((t, _ARG))
-                continue
             if where == _ARG:
                 out.append("(")
                 todo.append(")")
@@ -419,6 +401,17 @@ def format_term(t: Term, free_vars: Sequence[str] = ()) -> str:
             out.append("\\" + " ".join(params) + ".")
             todo.append(len(params))
             todo.append((t, _TOP))
+        elif cls is Tower:
+            # H (H (.. (H M))): each level but the first is an argument,
+            # so the tower prints as one opening and one closing string
+            n = t.height
+            if where == _ARG:
+                out.append("(H " * n)
+                todo.append(")" * n)
+            else:
+                out.append("H " + "(H " * (n - 1))
+                todo.append(")" * (n - 1))
+            todo.append((t.base, _ARG))
         else:
             out.append("H")
     return "".join(out)

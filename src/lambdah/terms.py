@@ -13,6 +13,18 @@ hashing and repr ignore it.  Shifting and substitution read it to hand
 back, by identity, every subterm they cannot change, so a closed value
 is never copied.
 
+An H-tower ``H (H (.. (H M)))`` is one ``Tower`` node that holds its
+height and its base M.  The J reading of H builds such towers, and a
+JT run can stack 2^k H's after k beta steps, so every layer handles a
+tower at once rather than one H at a time.  The form is canonical:
+``App(H, x)`` returns a tower (one level taller if x is one), so no
+plain ``App`` has H as its operator and a tower's base is never a
+tower.  ``Tower`` is a subclass of ``App`` whose ``fun`` is H and whose
+``arg`` is the tower one lower, built on demand, so the spine view and
+any walk through ``fun`` and ``arg`` see the expanded term.  ``fv``,
+equality and hashing stay structural, and ``size`` counts the expanded
+nodes, 2n + size(M) for a tower of height n.
+
 The spine view decomposes a term as ``lam x1 .. xb. h a1 .. an`` where
 the head ``h`` is a variable, the constant H, or a beta redex whose
 operator is an abstraction.  Exactly one of the three cases applies, and
@@ -99,35 +111,6 @@ class Abs(_Node):
         return Abs, (self.body,)
 
 
-class App(_Node):
-    __slots__ = ("fun", "arg", "fv")
-    __match_args__ = ("fun", "arg")
-    fun: "Term"
-    arg: "Term"
-    fv: int
-
-    def __init__(self, fun: "Term", arg: "Term") -> None:
-        _set_app_fun(self, fun)
-        _set_app_arg(self, arg)
-        f, a = fun.fv, arg.fv
-        _set_app_fv(self, f if f > a else a)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            f, g, a, b = self.fun, other.fun, self.arg, other.arg
-            return (f is g or f == g) and (a is b or a == b)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.fun, self.arg))
-
-    def __repr__(self) -> str:
-        return f"App(fun={self.fun!r}, arg={self.arg!r})"
-
-    def __reduce__(self):
-        return App, (self.fun, self.arg)
-
-
 class ConstH(_Node):
     __slots__ = ()
     __match_args__ = ()
@@ -148,6 +131,91 @@ class ConstH(_Node):
         return ConstH, ()
 
 
+H = ConstH()
+
+
+class App(_Node):
+    __slots__ = ("fun", "arg", "fv")
+    __match_args__ = ("fun", "arg")
+    fun: "Term"
+    arg: "Term"
+    fv: int
+
+    def __new__(cls, fun: "Term", arg: "Term") -> "App":
+        # H applied to a term is a tower, one level taller if it is one
+        if fun.__class__ is ConstH:
+            if arg.__class__ is Tower:
+                return _tower(arg.height + 1, arg.base)
+            return _tower(1, arg)
+        self = _new(cls)
+        _set_app_fun(self, fun)
+        _set_app_arg(self, arg)
+        f, a = fun.fv, arg.fv
+        _set_app_fv(self, f if f > a else a)
+        return self
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            f, g, a, b = self.fun, other.fun, self.arg, other.arg
+            return (f is g or f == g) and (a is b or a == b)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.fun, self.arg))
+
+    def __repr__(self) -> str:
+        return f"App(fun={self.fun!r}, arg={self.arg!r})"
+
+    def __reduce__(self):
+        return App, (self.fun, self.arg)
+
+
+class Tower(App):
+    """``H (H (.. (H base)))`` with ``height`` H's, as one node.
+
+    As an application a tower's ``fun`` is H and its ``arg`` is the
+    tower one lower (the base at height 1), built on demand, so code
+    that walks ``fun`` and ``arg`` sees the expanded term.  The base is
+    never a tower.  ``Tower(n, m)`` is H^n m: m itself when n is 0, and
+    a single taller tower when m is one.
+    """
+
+    __slots__ = ()
+    __match_args__ = ("height", "base")
+    # the height and the base live in the slots where an App keeps its
+    # operator and argument, so a tower takes no more memory than an App
+    height = App.fun
+    base = App.arg
+    fun = H
+
+    def __new__(cls, height: int, base: "Term") -> "Term":
+        if height < 0:
+            raise ValueError(f"negative tower height {height}")
+        if base.__class__ is Tower:
+            return _tower(height + base.height, base.base)
+        return _tower(height, base) if height else base
+
+    @property
+    def arg(self) -> "Term":
+        n = self.height - 1
+        return _tower(n, self.base) if n else self.base
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            b, c = self.base, other.base
+            return self.height == other.height and (b is c or b == c)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.height, self.base))
+
+    def __repr__(self) -> str:
+        return f"Tower(height={self.height!r}, base={self.base!r})"
+
+    def __reduce__(self):
+        return Tower, (self.height, self.base)
+
+
 _set_var_index = Var.index.__set__
 _set_var_fv = Var.fv.__set__
 _set_abs_body = Abs.body.__set__
@@ -155,11 +223,19 @@ _set_abs_fv = Abs.fv.__set__
 _set_app_fun = App.fun.__set__
 _set_app_arg = App.arg.__set__
 _set_app_fv = App.fv.__set__
+_new = object.__new__
+
+
+def _tower(height: int, base: "Term") -> Tower:
+    # a tower from a height of at least 1 and a base that is not a tower
+    t = _new(Tower)
+    _set_app_fun(t, height)  # Tower.height
+    _set_app_arg(t, base)  # Tower.base
+    _set_app_fv(t, base.fv)
+    return t
 
 
 Term = Var | Abs | App | ConstH
-
-H = ConstH()
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
@@ -168,7 +244,8 @@ def alpha_eq(a: Term, b: Term) -> bool:
 
 
 def size(t: Term) -> int:
-    """Node count: every constructor, including H, costs one.
+    """Node count: every constructor, including H, costs one, and a
+    tower counts as the applications and H's it stands for.
 
     Iterative: the machines probe the size of intermediate states, which
     can be far deeper than the recursion limit allows.
@@ -184,6 +261,9 @@ def size(t: Term) -> int:
             todo.append(node.arg)
         elif cls is Abs:
             todo.append(node.body)
+        elif cls is Tower:
+            n += 2 * node.height - 1
+            todo.append(node.base)
     return n
 
 
@@ -297,6 +377,8 @@ def shift(t: Term, by: int, cutoff: int = 0) -> Term:
         return App(shift(t.fun, by, cutoff), shift(t.arg, by, cutoff))
     if cls is Abs:
         return Abs(shift(t.body, by, cutoff + 1))
+    if cls is Tower:
+        return Tower(t.height, shift(t.base, by, cutoff))
     return Var(t.index + by)  # H is closed, so t is a variable
 
 
@@ -310,6 +392,8 @@ def _subst(t: Term, depth: int, value: Term) -> Term:
         return App(_subst(t.fun, depth, value), _subst(t.arg, depth, value))
     if cls is Abs:
         return Abs(_subst(t.body, depth + 1, value))
+    if cls is Tower:
+        return Tower(t.height, _subst(t.base, depth, value))
     i = t.index  # H is closed, so t is a variable
     if i == depth:
         return shift(value, depth)
@@ -337,8 +421,8 @@ def subst_const_h(t: Term, m: Term) -> Term:
     if not is_closed(m):
         raise ValueError("replacement for H must be closed")
     done: list[Term] = []  # replaced subterms not yet taken by their parent
-    # Work, next item last: a term to replace, or an App or Abs in a
-    # 1-tuple, to rebuild from its replaced children at the end of done.
+    # Work, next item last: a term to replace, or an App, Abs or Tower in
+    # a 1-tuple, to rebuild from its replaced children at the end of done.
     todo: list = [t]
     while todo:
         x = todo.pop()
@@ -351,16 +435,24 @@ def subst_const_h(t: Term, m: Term) -> Term:
             done.append(m)
         elif cls is Var:
             done.append(x)
+        elif cls is Tower:
+            todo += ((x,), x.base)
         else:
             x = x[0]
-            if x.__class__ is App:
+            cls = x.__class__
+            if cls is App:
                 a = done.pop()
                 f = done.pop()
                 if f is not x.fun or a is not x.arg:
                     x = App(f, a)
-            else:
+            elif cls is Abs:
                 b = done.pop()
                 if b is not x.body:
                     x = Abs(b)
+            else:  # a tower: each of its H's becomes an m
+                b = done.pop()
+                for _ in range(x.height):
+                    b = App(m, b)
+                x = b
             done.append(x)
     return done[0]

@@ -9,10 +9,13 @@ way: it re-reads the whole state through ``spine`` before every step and
 rebuilds the whole state after it, so it shares only the outcome types
 and ``substitute`` with the unwound machine it checks.
 ``count_h_and_apps`` counts the two kinds of node that bound a burst.
+``recursive_wrap_applied_h`` is the H-wrapper of ``gen`` written by
+recursion, the reference for the order in which it draws its coins.
 """
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 
 from lambdah.machines import (
@@ -271,3 +274,24 @@ def count_h_and_apps(t: Term) -> tuple[int, int]:
             case ConstH():
                 h += 1
     return h, a
+
+
+def recursive_wrap_applied_h(
+    t: Term, rng: random.Random, density: float = 0.25, protect_head: bool = False
+) -> Term:
+    """``gen.wrap_applied_h`` by recursion: children first, operator
+    before argument, then the node's own coin."""
+
+    def go(t: Term, protected: bool) -> Term:
+        match t:
+            case Abs(body):
+                new: Term = Abs(go(body, protected))
+            case App(fun, arg):
+                new = App(go(fun, protected), go(arg, False))
+            case _:
+                new = t
+        if not protected and rng.random() < density:
+            new = App(H, new)
+        return new
+
+    return go(t, protect_head)

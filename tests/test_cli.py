@@ -49,6 +49,7 @@ def test_reduce_json_on_fuel_exhaustion(capsys):
         "outcome": "fuel_exhausted",
         "term": "(\\x.x x) (\\y.y y)",
         "t_steps": 5,
+        "aux_steps": 0,
     }
 
 
@@ -68,6 +69,7 @@ def test_reduce_overflow_json(capsys):
     record = json.loads(lines(capsys)[0])
     assert record["outcome"] == "overflow"
     assert record["t_steps"] == 11
+    assert record["aux_steps"] == 1024
 
 
 def test_solvable_reports_the_hnf(capsys):

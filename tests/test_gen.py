@@ -1,6 +1,7 @@
 """Generator tests: enumeration completeness and stream determinism."""
 
 import random
+import sys
 from itertools import islice
 
 from lambdah.extraction import extract
@@ -16,12 +17,13 @@ from lambdah.terms import (
     App,
     H,
     HeadRedex,
+    Tower,
     Var,
     alpha_eq,
     size,
     spine,
 )
-from oracles import count_terms
+from oracles import count_terms, recursive_wrap_applied_h
 
 
 def contains_h(t):
@@ -151,6 +153,50 @@ def test_protect_head_keeps_a_head_redex_in_place():
     # binder prefix and operator spine untouched, argument still wrapped
     assert wrapped == App(Abs(Var(0)), App(H, Var(0)))
     assert isinstance(spine(wrapped).head, HeadRedex)
+
+
+def test_wrapping_draws_its_coins_in_the_order_of_the_recursive_walk():
+    # the check suite's rows and frozen counts depend on this order
+    for seed in range(200):
+        cfg = GenConfig(seed=seed, max_size=4 + seed % 17, free_vars=seed % 3)
+        t = next(term_stream(cfg))
+        if seed % 4 == 0:
+            t = wrap_applied_h(t, random.Random(seed), density=0.7)  # towers in
+        density = (0.1, 0.25, 0.5, 0.9)[seed % 4]
+        protect_head = seed % 3 == 0
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert wrap_applied_h(t, ours, density, protect_head) == recursive_wrap_applied_h(
+            t, theirs, density, protect_head
+        )
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_wrapping_a_deep_term_needs_no_recursion():
+    # x (x (.. x)), 5,000 applications deep
+    t = Var(0)
+    for _ in range(5000):
+        t = App(Var(0), t)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        wrapped = wrap_applied_h(t, random.Random(0), density=0.5)
+    finally:
+        sys.setrecursionlimit(saved)
+    # walk down the arguments, looking through the wrappers
+    depth = wrappers = 0
+    node = wrapped
+    while True:
+        if isinstance(node, Tower):
+            node, wrappers = node.base, wrappers + 1
+        if not isinstance(node, App):
+            break
+        fun = node.fun
+        if isinstance(fun, Tower):
+            fun, wrappers = fun.base, wrappers + 1
+        assert fun == Var(0)
+        node, depth = node.arg, depth + 1
+    assert (node, depth) == (Var(0), 5000)
+    assert 4000 < wrappers < 6000
 
 
 def test_pair_stream_yields_equal_image_pairs():

@@ -1,6 +1,7 @@
 """Machine tests: step rules, strategies, fuel and burst-bound accounting."""
 
 import json
+import random
 from itertools import islice, product
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from lambdah import machines
 from lambdah.cli import main
 from lambdah.extraction import extract
-from lambdah.gen import GenConfig, enumerate_terms, term_stream
+from lambdah.gen import GenConfig, enumerate_terms, term_stream, wrap_applied_h
 from lambdah.machines import (
     DEFAULT_MAX_STATE,
     G,
@@ -41,6 +42,7 @@ from lambdah.terms import (
     H,
     HeadH,
     HeadVar,
+    Tower,
     Var,
     alpha_eq,
     apply_args,
@@ -239,7 +241,7 @@ def test_pure_bursts_stay_within_their_proven_bounds(t):
 def test_a_burst_that_outruns_its_bound_raises(monkeypatch):
     # a contraction that leaves the head in place never ends a burst, so
     # only the guard stops it, after size**2 // 4 steps
-    monkeypatch.setattr(machines, "_contract", lambda kind, head, stack: head)
+    monkeypatch.setattr(machines, "_lower", lambda head, n, wrap, stack: head)
     for text in ("H x", "H x y", "\\z.H H z"):
         t = term(text)
         cap = size(t) ** 2 // 4
@@ -420,6 +422,56 @@ def test_run_matches_the_reference_driver_on_the_duplicator():
     out = run(u, Strategy.JT, 100, keep_trace=True, max_state=64)
     assert isinstance(out, Overflow)
     assert_trace_chains_by_identity(u, out)
+
+
+@st.composite
+def towered_terms(draw):
+    """A random term with H-wrappers placed by ``wrap_applied_h``, each
+    of its towers then raised to a drawn height from 1 to 40."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    cfg = GenConfig(seed=seed, max_size=draw(st.integers(2, 14)), free_vars=2)
+    density = draw(st.sampled_from((0.2, 0.5, 0.8)))
+    wrapped = wrap_applied_h(next(term_stream(cfg)), random.Random(seed), density)
+    heights = st.integers(1, 40)
+
+    def raised(t):
+        if isinstance(t, Tower):
+            return Tower(draw(heights), raised(t.base))
+        if isinstance(t, App):
+            return App(raised(t.fun), raised(t.arg))
+        if isinstance(t, Abs):
+            return Abs(raised(t.body))
+        return t
+
+    return raised(wrapped)
+
+
+@settings(max_examples=150, deadline=None)
+@given(towered_terms(), st.sampled_from((None, 300)))
+def test_whole_tower_contractions_match_the_level_at_a_time_reference(t, max_state):
+    # the repr spells the outcome class, both step counts, the final
+    # state and every trace entry
+    for strategy in Strategy:
+        for keep_trace in (False, True):
+            args = (t, strategy, 30)
+            kwargs = dict(keep_trace=keep_trace, max_state=max_state)
+            assert outcome_text(run, *args, **kwargs) == outcome_text(
+                reference_run, *args, **kwargs
+            )
+
+
+def test_jt_takes_the_duplicators_doubling_tower_in_one_contraction():
+    # after k t-steps JT holds (\x.x x) (H^(2^k) (\y.y y)), 2^(k+1) + 9
+    # nodes, with 2^k aux steps behind it; each burst is one contraction,
+    # where taking one level at a time would take 2^60 steps
+    u = term(DOUBLER)
+    out = run(u, Strategy.JT, 60, max_state=2**70)
+    assert isinstance(out, FuelExhausted)
+    assert (out.t_steps, out.aux_steps) == (60, 2**60)
+    assert size(out.last) == 2**61 + 9
+    out = run(u, Strategy.JT, 23, max_state=10**7)
+    assert isinstance(out, Overflow)
+    assert (out.t_steps, out.aux_steps) == (23, 4_194_304)
 
 
 def test_an_outcome_without_a_step_holds_the_input_itself():

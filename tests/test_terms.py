@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lambdah.extraction import extract, has_applied_h
 from lambdah.gen import enumerate_terms
-from lambdah.syntax import parse_term
+from lambdah.machines import Hnf, Strategy, run
+from lambdah.syntax import format_term, parse_term
 from lambdah.terms import (
     Abs,
     App,
@@ -17,6 +19,8 @@ from lambdah.terms import (
     HeadH,
     HeadRedex,
     HeadVar,
+    SpineView,
+    Tower,
     Var,
     alpha_eq,
     is_closed,
@@ -229,6 +233,88 @@ def test_subst_const_h_walks_a_tall_tower_without_recursion():
         assert out.__class__ is App and out.fun is identity
         out = out.arg
     assert out == Var(0)
+
+
+# ---------- H-towers ----------
+
+
+def test_h_applied_to_a_term_is_a_tower():
+    x = Var(0)
+    one = App(H, x)
+    assert one.__class__ is Tower
+    assert (one.height, one.base) == (1, x)
+    two = App(H, one)
+    assert two == Tower(2, x)
+    assert two.base is x
+    assert Tower(3, two) == Tower(5, x)
+    assert Tower(0, x) is x
+    assert App(x, H).__class__ is App  # H as an argument stacks nothing
+    assert App(H, H) == Tower(1, H)
+    with pytest.raises(ValueError):
+        Tower(-1, x)
+
+
+def test_a_tower_is_seen_as_the_applications_it_stands_for():
+    t = term("H (H (\\y.y x))")
+    base = Abs(App(Var(0), Var(1)))
+    assert t == Tower(2, base)
+    match t:
+        case App(fun, arg):
+            assert fun is H
+            assert arg == Tower(1, base)
+    assert t.arg.arg is t.base
+    assert spine(t) == SpineView(0, HeadH(), (Tower(1, base),))
+    assert size(t) == 4 + size(base)
+    assert t.fv == 1
+    assert t != Tower(1, base) and t != base
+    assert repr(t) == (
+        "Tower(height=2, base=Abs(body=App(fun=Var(index=0), arg=Var(index=1))))"
+    )
+    assert pickle.loads(pickle.dumps(t)) == t
+    with pytest.raises(FrozenInstanceError):
+        t.height = 3
+
+
+def test_shift_and_substitute_keep_towers_canonical():
+    t = Tower(2, Var(0))
+    assert shift(t, 3) == Tower(2, Var(3))
+    # a tower substituted at the base of a tower makes one taller tower
+    assert substitute(t, Tower(3, Var(4))) == Tower(5, Var(4))
+    # H substituted in operator position starts a tower
+    assert substitute(App(Var(0), Tower(2, Var(1))), H) == Tower(3, Var(0))
+    assert subst_const_h(t, Abs(Var(0))) == App(Abs(Var(0)), App(Abs(Var(0)), Var(0)))
+
+
+def test_tall_towers_pass_every_layer_without_recursion():
+    # two distinct but equal towers 100,000 high, taken through every
+    # layer at the default recursion limit
+    n = 100_000
+    text = "H (" * (n - 1) + "H x" + ")" * (n - 1)
+    a, b = term(text), term(text)
+    x, y = Var(0), Var(1)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert a is not b
+        assert a == b and alpha_eq(a, b)
+        assert hash(a) == hash(b)
+        assert a != Tower(n - 1, x)
+        assert format_term(a, ("x",)) == text
+        assert extract(a) == x
+        assert has_applied_h(a)
+        assert size(a) == 2 * n + 1
+        assert shift(a, 2) == Tower(n, Var(2))
+        assert substitute(a, b) == Tower(2 * n, x)
+        budget = 10 * n
+        for strategy in (Strategy.IT, Strategy.JT, Strategy.PURE_I, Strategy.PURE_J):
+            assert run(a, strategy, 1, max_state=budget) == Hnf(x, 0, n)
+        applied = App(a, y)
+        assert run(applied, Strategy.IT, 1, max_state=budget) == Hnf(App(x, y), 0, n)
+        assert run(applied, Strategy.JT, 1, max_state=budget) == Hnf(
+            App(x, Tower(n, y)), 0, n
+        )
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 # ---------- sizes and scoping ----------
