@@ -21,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-import threading
 from itertools import islice
 
 from .equivalence import (
@@ -288,7 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    sys.setrecursionlimit(50000)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -308,18 +306,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    # substitution and formatting recurse as deep as the term; the main
-    # thread's native stack is too small for the recursion limit main()
-    # installs, so do the work on a thread with a roomy one
-    threading.stack_size(512 * 1024 * 1024)
-    status: list[int] = []
-    worker = threading.Thread(target=lambda: status.append(main()), daemon=True)
-    worker.start()
-    worker.join()
+    status = main()
     try:
         sys.stdout.flush()
     except BrokenPipeError:
         # flush what remains into the void so the interpreter's own
         # shutdown flush does not complain a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    raise SystemExit(status[0] if status else 1)
+    raise SystemExit(status)

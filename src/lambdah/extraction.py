@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from enum import Enum
 
+from .syntax import format_term
 from .terms import (
     Abs,
     App,
@@ -34,25 +35,57 @@ from .terms import (
 )
 
 
+# the rebuild marker of an abstraction on the work stack of ``extract``
+_ABS = object()
+
+
 def extract(t: Term) -> Term:
-    args: list[Term] = []  # the spine's arguments, the first on top
-    while True:
-        while t.__class__ is App:
-            args.append(t.arg)
-            t = t.fun
-        cls = t.__class__
-        if cls is Tower:
-            # H^n U1 U2 .. Un: all n H's go at once, and U1 takes over
-            t = t.base
-        elif cls is ConstH and args:
-            # H U1 .. Un with n >= 1, where H was the base of a tower
-            t = args.pop()
+    """The extraction image of t.  A subterm that holds no tower, so no
+    applied H, is its own image and comes back as itself."""
+    if not t.holds_tower:
+        return t
+    done: list[Term] = []  # images not yet taken by their parent
+    # Work, next item last: a subterm to extract, the marker of an
+    # abstraction to rebuild from the image of its body, or the number
+    # of arguments an image spine takes from ``done`` behind its head.
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
+        if t is _ABS:
+            done[-1] = Abs(done[-1])
+        elif t.__class__ is int:
+            n = len(done) - t
+            image = done[n - 1]
+            for arg in done[n:]:
+                image = App(image, arg)
+            del done[n:]
+            done[-1] = image
+        elif not t.holds_tower:
+            done.append(t)
+        elif t.__class__ is Abs:
+            todo.append(_ABS)
+            todo.append(t.body)
         else:
-            break
-    image = Abs(extract(t.body)) if t.__class__ is Abs else t
-    for arg in reversed(args):
-        image = App(image, extract(arg))
-    return image
+            args: list[Term] = []  # the spine's arguments, the first on top
+            while True:
+                while t.__class__ is App:
+                    args.append(t.arg)
+                    t = t.fun
+                cls = t.__class__
+                if cls is Tower:
+                    # H^n U1 U2 .. Un: all n H's go at once, and U1 takes over
+                    t = t.base
+                elif cls is ConstH and args:
+                    # H U1 .. Un with n >= 1, where H was the base of a tower
+                    t = args.pop()
+                else:
+                    break
+            # the head's image first, then the arguments' from the first
+            if args:
+                todo.append(len(args))
+                todo += args
+            todo.append(t)
+    return done[0]
 
 
 class EShape(Enum):
@@ -72,7 +105,9 @@ class ShapeViolation(Exception):
     """An alleged extraction image has an applied H at its head."""
 
     def __init__(self, t: Term):
-        super().__init__(f"applied H at the head of an extraction image: {t!r}")
+        super().__init__(
+            f"applied H at the head of an extraction image: {format_term(t)}"
+        )
         self.term = t
 
 
@@ -94,18 +129,7 @@ def has_applied_h(t: Term) -> bool:
 
     Extraction images must answer False everywhere, not just at the
     root; H may survive extraction only in argument position.  An
-    applied H is always the bottom of a tower, so this is whether t
-    holds a tower.
+    applied H is always the bottom of a tower, so this is the flag
+    ``holds_tower`` that every node carries.
     """
-    todo = [t]
-    while todo:
-        t = todo.pop()
-        while t.__class__ is App:
-            todo.append(t.arg)
-            t = t.fun
-        cls = t.__class__
-        if cls is Tower:
-            return True
-        if cls is Abs:
-            todo.append(t.body)
-    return False
+    return t.holds_tower

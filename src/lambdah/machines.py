@@ -34,9 +34,13 @@ a binder count, a head term, and the head's arguments on a stack with
 the first on top.  A step contracts the head against the top of the
 stack, and settling the new head pushes its own applications, so a
 step costs the size of the new head's spine (plus the substitution's
-walk down the redex body), not the size of the state.  A ``Term`` is
-read back from the three parts only for an outcome, an AuxCapExceeded
-message or a trace entry.  The single steps ``t_step``, ``i_step`` and
+walk down the redex body), not the size of the state.  A t-step does
+not build the application spine of the redex body only for settling to
+take it apart: it pushes each argument of that spine onto the stack,
+substituted on its own, and substitutes into the spine's base alone, so
+a body ``x x`` costs no new node.  A ``Term`` is read back from the
+three parts only for an outcome, an AuxCapExceeded message or a trace
+entry.  The single steps ``t_step``, ``i_step`` and
 ``j_step`` unwind, contract and read back through the same helpers.
 
 An applied H at the head is a tower ``H^n U1`` (see ``terms.Tower``),
@@ -279,11 +283,12 @@ class Overflow:
 MachineOutcome = Hnf | FuelExhausted | Overflow
 
 # Default state budget for strategies that take auxiliary bursts,
-# counted in expanded nodes.  The size probe and the readback of a state
-# are iterative; only the substitution of a t-step recurses, as deep as
-# the redex body and the substituted value reach (a tower is one frame),
-# and a native stack holds roughly 16k frames of it.  One t-step after an
-# in-budget burst at most doubles the depth, so 4096 leaves a wide margin.
+# counted in expanded nodes.  No walk over a state recurses, so the
+# budget guards no stack; it bounds the work of a burst, at most
+# 4096**2 // 4 steps.  It stays 4096 because the JT trace of the
+# duplicator context ``H (\x.x x) (\x.x x)`` stops there, and the
+# trace-roundtrip benchmark and the traces and counts the tests freeze
+# were taken at that value.
 DEFAULT_MAX_STATE = 4096
 
 
@@ -358,7 +363,13 @@ def run(
             kind = StepKind.T
             t_steps += 1
             aux_since_t = 0
-            new = substitute(head.body, stack.pop())
+            # the body's own arguments go straight onto the stack, each
+            # substituted on its own, so its spine is never rebuilt
+            body, value = head.body, stack.pop()
+            while body.__class__ is App:
+                stack.append(substitute(body.arg, value))
+                body = body.fun
+            new = substitute(body, value)
         else:
             stop = Hnf
             break

@@ -13,6 +13,14 @@ hashing and repr ignore it.  Shifting and substitution read it to hand
 back, by identity, every subterm they cannot change, so a closed value
 is never copied.
 
+Every node also carries ``holds_tower``, fixed when it is built: True
+iff a ``Tower`` (below) occurs in it (False for a variable and for H,
+True for a tower, and for an abstraction or an application whatever
+its children say).  In canonical form that is whether the term holds an
+applied H, so extraction hands back every subterm without one by
+identity, and ``extraction.has_applied_h`` reads the flag.  Like ``fv``
+it takes no part in equality, hashing or repr.
+
 An H-tower ``H (H (.. (H M)))`` is one ``Tower`` node that holds its
 height and its base M.  The J reading of H builds such towers, and a
 JT run can stack 2^k H's after k beta steps, so every layer handles a
@@ -31,6 +39,12 @@ operator is an abstraction.  Exactly one of the three cases applies, and
 head normal forms are the terms whose head is a variable (any number of
 arguments) or a bare H (no arguments at all: an applied H is work left
 to do, not a result).
+
+No walk over a term recurses.  Equality, hashing, ``size``, shifting,
+substitution and ``subst_const_h`` keep their work on explicit stacks,
+so the depth of a term is bounded by memory, not by the recursion
+limit.  Only ``repr`` and pickling, which Python drives by recursion,
+are bounded by it.
 """
 
 from __future__ import annotations
@@ -45,8 +59,10 @@ from typing import Iterable
 # frozen dataclasses so that ``fv`` can be filled in at construction
 # without a ``__post_init__`` pass.  Fields are set through the slot
 # descriptors, which keeps the classes immutable at about the cost of a
-# dataclass constructor.  Equality, hashing, repr and ``__match_args__``
-# behave as a frozen dataclass's would; ``fv`` takes part in none of them.
+# dataclass constructor.  Equality and hashing are structural, one walk
+# each for every class; repr and ``__match_args__`` behave as a frozen
+# dataclass's would.  ``fv`` and ``holds_tower`` take part in none of
+# them.
 
 
 class _Node:
@@ -58,6 +74,65 @@ class _Node:
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # both terms walked in step, pairs of subterms still to compare
+        # on a stack: the operator of an application and the body of an
+        # abstraction are taken at once, the argument later
+        todo: list[Term] = []
+        a, b = self, other
+        while True:
+            if a is not b:
+                cls = a.__class__
+                if cls is not b.__class__:
+                    return False
+                if cls is App:
+                    todo.append(a.arg)
+                    todo.append(b.arg)
+                    a, b = a.fun, b.fun
+                    continue
+                if cls is Abs:
+                    a, b = a.body, b.body
+                    continue
+                if cls is Tower:
+                    if a.height != b.height:
+                        return False
+                    a, b = a.base, b.base
+                    continue
+                if cls is Var and a.index != b.index:
+                    return False
+            if not todo:
+                return True
+            b = todo.pop()
+            a = todo.pop()
+
+    def __hash__(self) -> int:
+        # the hash of the term's pre-order spelling, one token per node
+        # (two for a tower); every constructor has a fixed arity, so the
+        # spelling determines the term
+        tokens: list[int] = []
+        todo: list[Term] = [self]
+        while todo:
+            t = todo.pop()
+            cls = t.__class__
+            if cls is App:
+                tokens.append(-1)
+                todo.append(t.arg)
+                todo.append(t.fun)
+            elif cls is Abs:
+                tokens.append(-2)
+                todo.append(t.body)
+            elif cls is Var:
+                tokens.append(t.index)
+            elif cls is Tower:
+                tokens.append(-3)
+                tokens.append(t.height)
+                todo.append(t.base)
+            else:
+                tokens.append(-4)
+        return hash(tuple(tokens))
+
 
 class Var(_Node):
     __slots__ = ("index", "fv")
@@ -65,17 +140,11 @@ class Var(_Node):
     index: int
     fv: int
 
+    holds_tower = False
+
     def __init__(self, index: int) -> None:
         _set_var_index(self, index)
         _set_var_fv(self, index + 1)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.index == other.index
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.index,))
 
     def __repr__(self) -> str:
         return f"Var(index={self.index!r})"
@@ -85,24 +154,17 @@ class Var(_Node):
 
 
 class Abs(_Node):
-    __slots__ = ("body", "fv")
+    __slots__ = ("body", "fv", "holds_tower")
     __match_args__ = ("body",)
     body: "Term"
     fv: int
+    holds_tower: bool
 
     def __init__(self, body: "Term") -> None:
         _set_abs_body(self, body)
         fv = body.fv
         _set_abs_fv(self, fv - 1 if fv else 0)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            b, c = self.body, other.body
-            return b is c or b == c
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.body,))
+        _set_abs_holds_tower(self, body.holds_tower)
 
     def __repr__(self) -> str:
         return f"Abs(body={self.body!r})"
@@ -115,14 +177,7 @@ class ConstH(_Node):
     __slots__ = ()
     __match_args__ = ()
     fv = 0
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return True
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(())
+    holds_tower = False
 
     def __repr__(self) -> str:
         return "ConstH()"
@@ -135,11 +190,12 @@ H = ConstH()
 
 
 class App(_Node):
-    __slots__ = ("fun", "arg", "fv")
+    __slots__ = ("fun", "arg", "fv", "holds_tower")
     __match_args__ = ("fun", "arg")
     fun: "Term"
     arg: "Term"
     fv: int
+    holds_tower: bool
 
     def __new__(cls, fun: "Term", arg: "Term") -> "App":
         # H applied to a term is a tower, one level taller if it is one
@@ -152,16 +208,8 @@ class App(_Node):
         _set_app_arg(self, arg)
         f, a = fun.fv, arg.fv
         _set_app_fv(self, f if f > a else a)
+        _set_app_holds_tower(self, fun.holds_tower or arg.holds_tower)
         return self
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            f, g, a, b = self.fun, other.fun, self.arg, other.arg
-            return (f is g or f == g) and (a is b or a == b)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.fun, self.arg))
 
     def __repr__(self) -> str:
         return f"App(fun={self.fun!r}, arg={self.arg!r})"
@@ -187,6 +235,7 @@ class Tower(App):
     height = App.fun
     base = App.arg
     fun = H
+    holds_tower = True
 
     def __new__(cls, height: int, base: "Term") -> "Term":
         if height < 0:
@@ -200,15 +249,6 @@ class Tower(App):
         n = self.height - 1
         return _tower(n, self.base) if n else self.base
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            b, c = self.base, other.base
-            return self.height == other.height and (b is c or b == c)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.height, self.base))
-
     def __repr__(self) -> str:
         return f"Tower(height={self.height!r}, base={self.base!r})"
 
@@ -220,9 +260,11 @@ _set_var_index = Var.index.__set__
 _set_var_fv = Var.fv.__set__
 _set_abs_body = Abs.body.__set__
 _set_abs_fv = Abs.fv.__set__
+_set_abs_holds_tower = Abs.holds_tower.__set__
 _set_app_fun = App.fun.__set__
 _set_app_arg = App.arg.__set__
 _set_app_fv = App.fv.__set__
+_set_app_holds_tower = App.holds_tower.__set__
 _new = object.__new__
 
 
@@ -245,11 +287,7 @@ def alpha_eq(a: Term, b: Term) -> bool:
 
 def size(t: Term) -> int:
     """Node count: every constructor, including H, costs one, and a
-    tower counts as the applications and H's it stands for.
-
-    Iterative: the machines probe the size of intermediate states, which
-    can be far deeper than the recursion limit allows.
-    """
+    tower counts as the applications and H's it stands for."""
     n = 0
     todo = [t]
     while todo:
@@ -368,37 +406,9 @@ def shift(t: Term, by: int, cutoff: int = 0) -> Term:
 
     A subterm with no index at or above the cutoff comes back as itself.
     """
-    # dispatch on the class: a class pattern in ``match`` costs several
-    # times as much, and these two walks are the machines' inner loop
     if by == 0 or t.fv <= cutoff:
         return t
-    cls = t.__class__
-    if cls is App:
-        return App(shift(t.fun, by, cutoff), shift(t.arg, by, cutoff))
-    if cls is Abs:
-        return Abs(shift(t.body, by, cutoff + 1))
-    if cls is Tower:
-        return Tower(t.height, shift(t.base, by, cutoff))
-    return Var(t.index + by)  # H is closed, so t is a variable
-
-
-def _subst(t: Term, depth: int, value: Term) -> Term:
-    # every index free in t is below the substituted one: nothing to
-    # replace and nothing to decrement
-    if t.fv <= depth:
-        return t
-    cls = t.__class__
-    if cls is App:
-        return App(_subst(t.fun, depth, value), _subst(t.arg, depth, value))
-    if cls is Abs:
-        return Abs(_subst(t.body, depth + 1, value))
-    if cls is Tower:
-        return Tower(t.height, _subst(t.base, depth, value))
-    i = t.index  # H is closed, so t is a variable
-    if i == depth:
-        return shift(value, depth)
-    # one binder disappears, so free indices above it slide down
-    return Var(i - 1)
+    return _rebuild(t, cutoff, by, None)
 
 
 def substitute(body: Term, value: Term) -> Term:
@@ -406,17 +416,82 @@ def substitute(body: Term, value: Term) -> Term:
 
     This is the contraction of ``App(Abs(body), value)``.  The value is
     shifted past every binder it is carried under, and the indices that
-    pointed past the consumed binder are decremented.
+    pointed past the consumed binder are decremented.  A subterm whose
+    free indices all lie below the binders around it holds neither the
+    replaced index nor one to decrement, and comes back as itself.
     """
-    return _subst(body, 0, value)
+    if body.fv == 0:
+        return body
+    if body.__class__ is Var:
+        i = body.index
+        return value if i == 0 else Var(i - 1)
+    return _rebuild(body, 0, -1, value)
+
+
+# rebuild markers on the work stack of ``_rebuild``
+_APP = object()  # an application, from its two rebuilt children
+_ABS = object()  # an abstraction, from its rebuilt body; leaves a binder
+
+
+def _rebuild(t: Term, cutoff: int, by: int, value: Term | None) -> Term:
+    # The one walk behind ``shift`` and ``substitute``.  ``depth`` starts
+    # at ``cutoff`` and counts the binders crossed, and an index below it
+    # is left alone.  With no ``value`` every other index moves by
+    # ``by``.  With one (a substitution, so ``cutoff`` is 0), index
+    # ``depth`` becomes the value shifted past the binders crossed, and
+    # the indices above it move by ``by``, -1 for the consumed binder.
+    # A subterm with every free index below ``depth`` comes back as
+    # itself.  The walk descends through operators and bodies without
+    # pushing them; the stack holds the arguments still to visit and the
+    # markers of the nodes to rebuild, a tower's marker being its
+    # height.  Rebuilt subterms wait in ``done`` for their parent.
+    done: list[Term] = []
+    todo: list = []
+    depth = cutoff
+    while True:
+        if t.fv <= depth:
+            done.append(t)
+        else:
+            cls = t.__class__
+            if cls is App:
+                todo.append(_APP)
+                todo.append(t.arg)
+                t = t.fun
+                continue
+            if cls is Abs:
+                todo.append(_ABS)
+                depth += 1
+                t = t.body
+                continue
+            if cls is Tower:
+                todo.append(t.height)
+                t = t.base
+                continue
+            i = t.index  # H is closed, so t is a variable
+            if value is not None and i == depth:
+                done.append(shift(value, depth))
+            else:
+                done.append(Var(i + by))
+        while todo:
+            t = todo.pop()
+            if t is _APP:
+                arg = done.pop()
+                done[-1] = App(done[-1], arg)
+            elif t is _ABS:
+                depth -= 1
+                done[-1] = Abs(done[-1])
+            elif t.__class__ is int:
+                done[-1] = Tower(t, done[-1])
+            else:
+                break
+        else:
+            return done[0]
 
 
 def subst_const_h(t: Term, m: Term) -> Term:
     """Replace every occurrence of the constant H by the closed term m.
 
-    A subterm without H comes back as itself.  The walk keeps its work
-    on explicit stacks, so a term of any depth is replaced without
-    recursion.
+    A subterm without H comes back as itself.
     """
     if not is_closed(m):
         raise ValueError("replacement for H must be closed")

@@ -11,6 +11,10 @@ and ``substitute`` with the unwound machine it checks.
 ``count_h_and_apps`` counts the two kinds of node that bound a burst.
 ``recursive_wrap_applied_h`` is the H-wrapper of ``gen`` written by
 recursion, the reference for the order in which it draws its coins.
+``recursive_shift``, ``recursive_substitute`` and ``recursive_extract``
+are the term core's walks as they were written before it kept its work
+on explicit stacks: one call per node, the references for the results
+and the identity returns of the iterative walks.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from lambdah.terms import (
     App,
     ConstH,
     H,
+    Tower,
     HeadH,
     HeadRedex,
     HeadVar,
@@ -295,3 +300,62 @@ def recursive_wrap_applied_h(
         return new
 
     return go(t, protect_head)
+
+
+# ---------- recursive references for the term core ----------
+
+
+def recursive_shift(t: Term, by: int, cutoff: int = 0) -> Term:
+    if by == 0 or t.fv <= cutoff:
+        return t
+    cls = t.__class__
+    if cls is App:
+        return App(
+            recursive_shift(t.fun, by, cutoff), recursive_shift(t.arg, by, cutoff)
+        )
+    if cls is Abs:
+        return Abs(recursive_shift(t.body, by, cutoff + 1))
+    if cls is Tower:
+        return Tower(t.height, recursive_shift(t.base, by, cutoff))
+    return Var(t.index + by)
+
+
+def _recursive_subst(t: Term, depth: int, value: Term) -> Term:
+    if t.fv <= depth:
+        return t
+    cls = t.__class__
+    if cls is App:
+        return App(
+            _recursive_subst(t.fun, depth, value), _recursive_subst(t.arg, depth, value)
+        )
+    if cls is Abs:
+        return Abs(_recursive_subst(t.body, depth + 1, value))
+    if cls is Tower:
+        return Tower(t.height, _recursive_subst(t.base, depth, value))
+    i = t.index
+    if i == depth:
+        return recursive_shift(value, depth)
+    return Var(i - 1)
+
+
+def recursive_substitute(body: Term, value: Term) -> Term:
+    return _recursive_subst(body, 0, value)
+
+
+def recursive_extract(t: Term) -> Term:
+    args: list[Term] = []
+    while True:
+        while t.__class__ is App:
+            args.append(t.arg)
+            t = t.fun
+        cls = t.__class__
+        if cls is Tower:
+            t = t.base
+        elif cls is ConstH and args:
+            t = args.pop()
+        else:
+            break
+    image = Abs(recursive_extract(t.body)) if t.__class__ is Abs else t
+    for arg in reversed(args):
+        image = App(image, recursive_extract(arg))
+    return image

@@ -8,6 +8,7 @@ import pytest
 
 from lambdah.cli import entry, main
 from lambdah.equivalence import Diverged, EMismatch, LockstepReport
+from lambdah.syntax import format_term, parse_term
 
 
 def lines(capsys):
@@ -297,3 +298,31 @@ def test_entry_exits_with_the_status_of_main(capsys, monkeypatch):
         entry()
     assert exc.value.code == 0
     assert lines(capsys) == ["x y"]
+
+
+def test_entry_runs_a_context_100000_deep_on_the_main_thread(
+    capsys, monkeypatch, tmp_path
+):
+    n = 100_000
+    nest = "y (" * (n - 1) + "y {})" + ")" * (n - 2)
+    context = "(\\y." + nest.format("(H z)") + ") (\\x.x)"
+    path = tmp_path / "deep.txt"
+    path.write_text(context + "\n", encoding="utf-8")
+    outputs = []
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for argv in (["extract", context], ["corpus", str(path), "--fuel", "5"]):
+            monkeypatch.setattr(sys, "argv", ["lambdah", *argv])
+            with pytest.raises(SystemExit) as exc:
+                entry()
+            assert exc.value.code == 0
+            outputs.append(capsys.readouterr().out)
+    finally:
+        sys.setrecursionlimit(saved)
+    image = format_term(*parse_term("(\\y." + nest.format("z") + ") (\\x.x)"))
+    assert outputs[0] == image + "\n"
+    assert outputs[1] == (
+        f"{context}: I=unknown(5) J=unknown(100) agree\n"
+        "1 contexts, 0 disagreements, 1 both-unknown\n"
+    )

@@ -87,8 +87,11 @@ def test_classify_head_redex():
 
 
 def test_classify_rejects_applied_h():
-    with pytest.raises(ShapeViolation):
-        classify(term("H x"))
+    with pytest.raises(ShapeViolation) as exc:
+        classify(term("H x (\\y.y)"))
+    assert str(exc.value) == (
+        "applied H at the head of an extraction image: H v0 (\\x.x)"
+    )
 
 
 def test_every_image_classifies_without_violation():

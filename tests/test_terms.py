@@ -1,16 +1,19 @@
 """Core term tests: spine views, hnf, substitution, H replacement."""
 
 import pickle
+import random
 import sys
 from dataclasses import FrozenInstanceError
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lambdah.equivalence import BothHnf, BothRunning, lockstep, theorem_check
 from lambdah.extraction import extract, has_applied_h
-from lambdah.gen import enumerate_terms
-from lambdah.machines import Hnf, Strategy, run
+from lambdah.gen import GenConfig, enumerate_terms, term_stream, wrap_applied_h
+from lambdah.machines import I, Hnf, Strategy, run, t_step
 from lambdah.syntax import format_term, parse_term
 from lambdah.terms import (
     Abs,
@@ -32,11 +35,26 @@ from lambdah.terms import (
     subst_const_h,
     substitute,
 )
-from oracles import oracle_substitute, recompose
+from oracles import (
+    oracle_substitute,
+    recompose,
+    recursive_extract,
+    recursive_shift,
+    recursive_substitute,
+    reference_run,
+)
 
 
 def term(text, frees=None):
     return parse_term(text, free_vars=frees)[0]
+
+
+@pytest.fixture
+def default_recursion_limit():
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(saved)
 
 
 # ---------- spine views ----------
@@ -218,21 +236,14 @@ def test_subst_const_h_returns_h_free_subterms_as_they_are():
     assert subst_const_h(closed, identity) is closed
 
 
-def test_subst_const_h_walks_a_tall_tower_without_recursion():
+def test_subst_const_h_walks_a_tall_tower_without_recursion(default_recursion_limit):
     n = 100_000
     tower = term("H (" * (n - 1) + "H x" + ")" * (n - 1))
     identity = Abs(Var(0))
-    saved = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        out = subst_const_h(tower, identity)
-    finally:
-        sys.setrecursionlimit(saved)
-    # walk the result down: term equality itself recurses
+    expected = Var(0)
     for _ in range(n):
-        assert out.__class__ is App and out.fun is identity
-        out = out.arg
-    assert out == Var(0)
+        expected = App(identity, expected)
+    assert subst_const_h(tower, identity) == expected
 
 
 # ---------- H-towers ----------
@@ -285,36 +296,79 @@ def test_shift_and_substitute_keep_towers_canonical():
     assert subst_const_h(t, Abs(Var(0))) == App(Abs(Var(0)), App(Abs(Var(0)), Var(0)))
 
 
-def test_tall_towers_pass_every_layer_without_recursion():
-    # two distinct but equal towers 100,000 high, taken through every
-    # layer at the default recursion limit
-    n = 100_000
-    text = "H (" * (n - 1) + "H x" + ")" * (n - 1)
-    a, b = term(text), term(text)
-    x, y = Var(0), Var(1)
-    saved = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        assert a is not b
-        assert a == b and alpha_eq(a, b)
-        assert hash(a) == hash(b)
-        assert a != Tower(n - 1, x)
-        assert format_term(a, ("x",)) == text
-        assert extract(a) == x
-        assert has_applied_h(a)
-        assert size(a) == 2 * n + 1
-        assert shift(a, 2) == Tower(n, Var(2))
-        assert substitute(a, b) == Tower(2 * n, x)
-        budget = 10 * n
+# ---------- deep terms ----------
+
+DEPTH = 100_000
+NAMES = ("x", "y", "z")
+
+# Five shapes 100,000 levels deep, as functions of the spelling of the
+# free variable x: substituting M for x in the shape is the shape at M.
+DEEP_SHAPES = {
+    "tower": lambda x: "H (" * (DEPTH - 1) + f"H {x}" + ")" * (DEPTH - 1),
+    "right-nested-application": (
+        lambda x: f"{x} (" * (DEPTH - 1) + f"{x} y" + ")" * (DEPTH - 1)
+    ),
+    "left-nested-application": lambda x: x + " y" * DEPTH,
+    "nested-binders": (
+        lambda x: "".join(f"\\v{i}." for i in range(DEPTH)) + f"v0 {x}"
+    ),
+    "deep-redex": (
+        lambda x: "(\\w." + "w (" * (DEPTH - 1) + f"w {x}" + ")" * (DEPTH - 1)
+        + ") (\\v.v)"
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
+def test_deep_terms_pass_every_layer_without_recursion(shape, default_recursion_limit):
+    spell = DEEP_SHAPES[shape]
+    text = spell("x")
+    a = term(text, NAMES)
+    b = term(format_term(a, NAMES), NAMES)
+    assert a is not b
+    assert a == b and alpha_eq(a, b)
+    assert hash(a) == hash(b)
+    # shifting adds free variables in front of the context, and
+    # substituting for x spells the shape with the value for x
+    assert shift(a, 2) == term(text, ("p", "q") + NAMES)
+    assert shift(a, 1) != a
+    with_h = substitute(a, H)
+    assert with_h == term(spell("H"), NAMES[1:])
+
+    assert has_applied_h(a) == (shape == "tower")
+    if shape == "tower":
+        assert extract(a) == Var(0)
+    else:
+        assert extract(a) is a
+    image = extract(with_h)
+    assert not has_applied_h(image) and extract(image) is image
+
+    assert t_step(App(Abs(a), H)) == with_h
+    outcomes = {}
+    for strategy in Strategy:
+        outcomes[strategy] = run(a, strategy, 2)
+        assert outcomes[strategy] == reference_run(a, strategy, 2)
+    report = lockstep(a, 2)
+    assert all(cp.equal for cp in report.checkpoints)
+    assert report.verdict in (BothHnf(), BothRunning())
+    row = theorem_check(a, 2, j_fuel_ratio=1)
+    assert row.verdict_it == outcomes[Strategy.IT]
+    assert row.verdict_jt == outcomes[Strategy.JT]
+    if shape == "tower":
+        x, y = Var(0), Var(1)
+        assert size(a) == 2 * DEPTH + 1
+        assert substitute(a, b) == Tower(2 * DEPTH, x)
+        # bursts as tall as the tower, each in one contraction
+        budget = 10 * DEPTH
         for strategy in (Strategy.IT, Strategy.JT, Strategy.PURE_I, Strategy.PURE_J):
-            assert run(a, strategy, 1, max_state=budget) == Hnf(x, 0, n)
+            assert run(a, strategy, 1, max_state=budget) == Hnf(x, 0, DEPTH)
         applied = App(a, y)
-        assert run(applied, Strategy.IT, 1, max_state=budget) == Hnf(App(x, y), 0, n)
-        assert run(applied, Strategy.JT, 1, max_state=budget) == Hnf(
-            App(x, Tower(n, y)), 0, n
+        assert run(applied, Strategy.IT, 1, max_state=budget) == Hnf(
+            App(x, y), 0, DEPTH
         )
-    finally:
-        sys.setrecursionlimit(saved)
+        assert run(applied, Strategy.JT, 1, max_state=budget) == Hnf(
+            App(x, Tower(DEPTH, y)), 0, DEPTH
+        )
 
 
 # ---------- sizes and scoping ----------
@@ -428,6 +482,135 @@ def test_substitute_returns_untouched_subterms_by_identity():
             if t.fv <= depth:
                 assert inner is t
             body = Abs(body)
+
+
+# ---------- the tower flag and the walks, against recursive references ----------
+
+
+def reference_holds_tower(t):
+    match t:
+        case Tower():
+            return True
+        case Abs(body):
+            return reference_holds_tower(body)
+        case App(fun, arg):
+            return reference_holds_tower(fun) or reference_holds_tower(arg)
+        case _:
+            return False
+
+
+def subterms(t):
+    # every subterm, a tower's base but not the lower towers it stands for
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        yield t
+        if t.__class__ is App:
+            todo += (t.fun, t.arg)
+        elif t.__class__ is Abs:
+            todo.append(t.body)
+        elif t.__class__ is Tower:
+            todo.append(t.base)
+
+
+def assert_same_result(ours, reference, *sources):
+    """``ours`` equals ``reference``, and where either holds a subterm of
+    the sources by identity, the other holds that same object."""
+    assert ours == reference
+    originals = {id(s) for source in sources for s in subterms(source)}
+    todo = [(ours, reference)]
+    while todo:
+        x, y = todo.pop()
+        if id(x) in originals or id(y) in originals:
+            assert x is y
+        elif x.__class__ is App:
+            todo += ((x.fun, y.fun), (x.arg, y.arg))
+        elif x.__class__ is Abs:
+            todo.append((x.body, y.body))
+        elif x.__class__ is Tower:
+            todo.append((x.base, y.base))
+
+
+def wrapped_terms(count=400):
+    rng = random.Random(5)
+    stream = term_stream(GenConfig(seed=5, max_size=24, free_vars=2))
+    return [wrap_applied_h(t, rng, density=0.4) for t in islice(stream, count)]
+
+
+SHIFTS = ((1, 0), (3, 0), (2, 1), (-1, 2))
+VALUES = (Var(2), Abs(Var(0)), App(Var(1), Tower(2, Var(0))))
+
+
+def assert_walks_match_the_references(t):
+    assert t.holds_tower == reference_holds_tower(t)
+    image = extract(t)
+    assert image == recursive_extract(t)
+    if not t.holds_tower:
+        assert image is t
+    for by, cutoff in SHIFTS:
+        assert_same_result(shift(t, by, cutoff), recursive_shift(t, by, cutoff), t)
+    for value in VALUES:
+        ours = substitute(t, value)
+        assert_same_result(ours, recursive_substitute(t, value), t, value)
+
+
+def test_walks_match_the_references_on_enumerated_terms():
+    for t in enumerate_terms(7, free_vars=2):
+        assert_walks_match_the_references(t)
+
+
+def test_walks_match_the_references_on_wrapped_terms():
+    for t in wrapped_terms():
+        assert_walks_match_the_references(t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(deep_terms(), wide_terms))
+def test_walks_match_the_references_on_drawn_terms(t):
+    assert_walks_match_the_references(t)
+
+
+@st.composite
+def repeated_terms(draw):
+    # a short pattern of binders, applications and H wrappers repeated
+    # until the term is deeper than the recursion limit allows a walk
+    steps = st.tuples(st.sampled_from("bfah"), leaves)
+    pattern = draw(st.lists(steps, min_size=1, max_size=6))
+    t = draw(leaves)
+    for _ in range(draw(st.integers(1000, 3000))):
+        for step, leaf in pattern:
+            if step == "b":
+                t = Abs(t)
+            elif step == "f":
+                t = App(t, leaf)
+            elif step == "a":
+                t = App(leaf, t)
+            else:
+                t = App(H, t)
+    return t
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(repeated_terms(), wide_terms))
+def test_deep_and_wide_terms_pass_every_layer_without_recursion(t):
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        names = tuple(f"f{i}" for i in range(t.fv))
+        copy = term(format_term(t, names), names)
+        assert copy == t and hash(copy) == hash(t)
+        assert t.holds_tower == any(s.__class__ is Tower for s in subterms(t))
+        assert shift(shift(t, 2, 1), -2, 1) == t
+        assert substitute(shift(t, 1), Tower(1, Var(0))) == t
+        image = extract(t)
+        assert not has_applied_h(image) and extract(image) is image
+        # the reference takes a burst one step at a time over the whole
+        # spine, so bursts are left to start from small states only
+        for strategy in Strategy:
+            args = (t, strategy, 3)
+            assert run(*args, max_state=64) == reference_run(*args, max_state=64)
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def test_fv_is_not_part_of_identity():
