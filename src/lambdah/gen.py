@@ -142,5 +142,9 @@ def pair_stream(cfg: GenConfig, density: float = 0.25) -> Iterator[tuple[Term, T
         base = _random_term(rng, cfg.max_size, cfg.free_vars, cfg.h_weight)
         left = wrap_applied_h(base, rng, density)
         right = wrap_applied_h(base, rng, density)
-        assert alpha_eq(extract(left), extract(right))
+        if not alpha_eq(extract(left), extract(right)):
+            raise AssertionError(
+                f"pair_stream (seed {cfg.seed}): two wrappings of one base "
+                "extract to different images"
+            )
         yield left, right

@@ -14,12 +14,17 @@ recursion, the reference for the order in which it draws its coins.
 ``recursive_shift``, ``recursive_substitute`` and ``recursive_extract``
 are the term core's walks as they were written before it kept its work
 on explicit stacks: one call per node, the references for the results
-and the identity returns of the iterative walks.
+and the identity returns of the iterative walks.  ``REFERENCE_TOKEN``
+is the tokenizer's pattern as it was before it read the printer's
+spelling of an H-tower as literals, every piece of a run through the
+general gap pattern: the reference for the tokens the faster pattern
+must find.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from functools import lru_cache
 
 from lambdah.machines import (
@@ -359,3 +364,12 @@ def recursive_extract(t: Term) -> Term:
     for arg in reversed(args):
         image = App(image, recursive_extract(arg))
     return image
+
+
+# the gap and token patterns of syntax, each run piece read through the gap
+_SKIP = r"[ \t\r\n]*(?:#[^\n]*(?![^\n])[ \t\r\n]*)*"
+REFERENCE_TOKEN = re.compile(
+    _SKIP
+    + rf"(H{_SKIP}\((?:{_SKIP}H{_SKIP}\()*|\)(?:{_SKIP}\))*"
+    + r"|[\\λ.(]|[^\W_]+|[^ \t\r\n#]|\Z)"
+)

@@ -2,8 +2,11 @@
 
 import random
 import sys
-from itertools import islice
+from itertools import count, islice
 
+import pytest
+
+from lambdah import gen
 from lambdah.extraction import extract
 from lambdah.gen import (
     GenConfig,
@@ -211,3 +214,14 @@ def test_pair_stream_is_deterministic():
     second = list(islice(pair_stream(cfg), 20))
     assert first == second
     assert next(pair_stream(cfg)) == first[0]
+
+
+def test_pair_stream_checks_its_pairs_without_assert(monkeypatch):
+    # an explicit check, so python -O does not strip it: a wrapper that
+    # puts a binder around every other term breaks the pair
+    calls = count()
+    monkeypatch.setattr(
+        gen, "wrap_applied_h", lambda t, rng, density: Abs(t) if next(calls) % 2 else t
+    )
+    with pytest.raises(AssertionError, match=r"pair_stream \(seed 11\)"):
+        next(pair_stream(GenConfig(seed=11, max_size=10, free_vars=1)))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lambdah import syntax
 from lambdah.gen import GenConfig, enumerate_terms, term_stream, wrap_applied_h
 from lambdah.machines import BUILTINS, I, OMEGA
 from lambdah.syntax import (
@@ -19,7 +20,8 @@ from lambdah.syntax import (
     parse_term,
     source_lines,
 )
-from lambdah.terms import Abs, App, H, Var, max_free_index
+from lambdah.terms import Abs, App, H, Tower, Var, max_free_index
+from oracles import REFERENCE_TOKEN
 
 
 # ---------- parsing ----------
@@ -193,6 +195,46 @@ def test_a_long_gap_after_h_tokenizes_in_linear_time(text):
     assert (t, names) == (App(H, Var(0)), ("x",))
 
 
+# pieces of text around H-towers, the printer's "H (" and ")" and
+# comments weighted up; comments hold parentheses and H of their own,
+# and one at the end of the text has no newline
+_TOKEN_PIECES = (
+    ["H (", ")", "# (H ( ))\n", "#)\n", "# H ("] * 4
+    + ["H(", "H  (", "H\n(", "H", "(", " ", "  \t", "\n", "\r\n"]
+    + ["x", "Hx", "y1", "\\", ".", "λ", "+", "²", "_"]
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_TOKEN_PIECES), max_size=40))
+def test_tokens_match_the_reference_pattern(pieces):
+    # the literal path for the printer's spelling finds the same tokens
+    # as the pattern that reads every piece of a run through the gap
+    text = "".join(pieces)
+    assert syntax._TOKEN.findall(text) == REFERENCE_TOKEN.findall(text)
+
+
+def test_a_run_of_printed_openers_then_a_long_gap_tokenizes_in_linear_time():
+    # the literal openers stop at the gap, and the general piece that
+    # then tries it backtracks through it once
+    n = 10_000
+    text = "H (" * n + " " * n + "x" + ")" * n
+    start = time.perf_counter()
+    tokens = syntax._TOKEN.findall(text)
+    t, names = parse_term(text)
+    assert time.perf_counter() - start < 0.5
+    assert tokens == ["H (" * n, "x", ")" * n, ""]
+    assert (t, names) == (Tower(n, Var(0)), ("x",))
+
+
+def test_a_run_that_mixes_spellings_is_one_token():
+    openers = "H (H(H (\nH (# a comment ( H (\nH  (H\n("
+    closers = "))\n) # a comment )\n)) )"
+    tokens = syntax._TOKEN.findall(openers + "x" + closers)
+    assert tokens == [openers, "x", closers, ""]
+    assert parse_term(openers + "x" + closers)[0] == Tower(6, Var(0))
+
+
 def test_source_lines_drop_comments_and_blanks_lazily():
     def lines():
         yield "x  # a comment\n"
@@ -334,3 +376,12 @@ def test_deep_terms_round_trip_without_recursion(build, default_recursion_limit)
     # compare texts: term equality is itself recursive
     text = build()
     assert format_term(*parse_term(text)) == text
+
+
+def test_a_tower_a_million_high_round_trips_quickly():
+    tower = Tower(1_000_000, Var(0))
+    text = format_term(tower, ("x",))
+    start = time.perf_counter()
+    t, names = parse_term(text)
+    assert time.perf_counter() - start < 2
+    assert (t, names) == (tower, ("x",))
