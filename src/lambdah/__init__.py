@@ -69,40 +69,29 @@ from .terms import (
     App,
     ConstH,
     H,
-    Head,
-    HeadH,
-    HeadRedex,
-    HeadVar,
-    SpineView,
     Term,
     Tower,
     Var,
-    alpha_eq,
     apply_args,
     is_closed,
-    is_hnf,
-    max_free_index,
     shift,
     size,
     spine,
     subst_const_h,
     substitute,
-    unwind_app,
 )
 
 __all__ = [
     "Abs", "AgreementRow", "App", "AuxCapExceeded", "BUILTINS", "BothHnf",
     "BothRunning", "Checkpoint", "ConstH", "CorpusEntry", "Diverged",
-    "EMismatch", "EShape", "FuelExhausted", "G", "GenConfig", "H", "Head",
-    "HeadH", "HeadRedex", "HeadVar", "Hnf", "I", "InvalidTrace", "J",
-    "LiftWitness", "LockstepReport", "MachineOutcome", "NotAJRedex",
-    "NotATRedex", "NotAnIRedex", "OMEGA", "ParseError", "ShapeViolation",
-    "SpineView", "StepKind", "Strategy", "SuiteReport", "Term", "Tower",
-    "TraceEntry", "UnboundVariable", "Var", "Y", "alpha_eq", "apply_args",
-    "classify", "enumerate_terms", "extract", "format_term", "has_applied_h",
-    "i_step", "is_closed", "is_hnf", "j_step", "lemma_suite", "lift_j_trace",
-    "lockstep", "max_free_index", "pair_stream", "parse_term", "read_corpus",
-    "replay_j_trace", "run", "shift", "size", "solvable", "solved", "spine",
-    "subst_const_h", "substitute", "t_step", "term_stream", "theorem_check",
-    "unwind_app", "wrap_applied_h",
+    "EMismatch", "EShape", "FuelExhausted", "G", "GenConfig", "H", "Hnf", "I",
+    "InvalidTrace", "J", "LiftWitness", "LockstepReport", "MachineOutcome",
+    "NotAJRedex", "NotATRedex", "NotAnIRedex", "OMEGA", "ParseError",
+    "ShapeViolation", "StepKind", "Strategy", "SuiteReport", "Term", "Tower",
+    "TraceEntry", "UnboundVariable", "Var", "Y", "apply_args", "classify",
+    "enumerate_terms", "extract", "format_term", "has_applied_h", "i_step",
+    "is_closed", "j_step", "lemma_suite", "lift_j_trace", "lockstep",
+    "pair_stream", "parse_term", "read_corpus", "replay_j_trace", "run",
+    "shift", "size", "solvable", "solved", "spine", "subst_const_h",
+    "substitute", "t_step", "term_stream", "theorem_check", "wrap_applied_h",
 ]

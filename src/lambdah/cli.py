@@ -11,8 +11,8 @@
 Term arguments use the surface grammar; the uppercase names I, J, Y, G
 and Omega expand to the built-in combinators.  Exit status: 0 on
 success, 1 when a property is violated or verdicts disagree, 2 on usage
-or parse errors.  Output for a given invocation is byte-identical
-across runs.
+or parse errors and on a file that cannot be read.  Output for a given
+invocation is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -295,9 +295,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except BrokenPipeError:
-        # the consumer of our output went away (head, less, ...)
+        # the consumer of our output went away (head, less, ...); an
+        # OSError, so it is caught before the one below
         return 0
-    except (ParseError, UnboundVariable, FileNotFoundError, ValueError) as exc:
+    except (ParseError, UnboundVariable, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ShapeViolation, AuxCapExceeded, InvalidTrace) as exc:

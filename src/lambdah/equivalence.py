@@ -50,19 +50,15 @@ from .terms import (
     App,
     ConstH,
     H,
-    HeadH,
-    HeadRedex,
     Term,
     Tower,
     Var,
-    alpha_eq,
     apply_args,
     is_closed,
     size,
     spine,
     subst_const_h,
     substitute,
-    unwind_app,
 )
 
 
@@ -165,13 +161,13 @@ def lockstep(
         fits = side_i.advance(1) and side_j.advance(1)
         if fits:
             image_i, image_j = extract(side_i.state), extract(side_j.state)
-            equal = alpha_eq(image_i, image_j)
+            equal = image_i == image_j
             checkpoints.append(Checkpoint(side_i.t_steps, image_i, image_j, equal))
     verdict: LockstepVerdict
     if not equal:
         verdict = EMismatch(side_i.t_steps)
     elif side_i.done and side_j.done:
-        same = alpha_eq(extract(side_i.state), extract(side_j.state))
+        same = extract(side_i.state) == extract(side_j.state)
         verdict = BothHnf() if same else EMismatch(side_i.t_steps)
     elif side_i.done or side_j.done:
         halted, going = (side_i, side_j) if side_i.done else (side_j, side_i)
@@ -209,11 +205,19 @@ class AgreementRow:
 
     @property
     def bridge_i_ok(self) -> bool:
-        return solved(self.verdict_it) == solved(self.verdict_i)
+        return _bridges(self.verdict_it, self.verdict_i)
 
     @property
     def bridge_j_ok(self) -> bool:
-        return solved(self.verdict_jt) == solved(self.verdict_j)
+        return _bridges(self.verdict_jt, self.verdict_j)
+
+
+def _bridges(machine: MachineOutcome, substituted: MachineOutcome) -> bool:
+    """A machine verdict bridges to its substitution verdict when both
+    reach a head normal form or neither does.  A machine side that
+    outgrew the state budget is unknown: it neither confirms nor refutes
+    the other side."""
+    return isinstance(machine, Overflow) or solved(machine) == solved(substituted)
 
 
 def theorem_check(
@@ -325,10 +329,10 @@ def replay_j_trace(entries: Sequence[TraceEntry]) -> None:
             raise InvalidTrace(f"entry {i}: {entry.kind.value} is not a J-step")
         if previous is not None and entry.before != previous:
             raise InvalidTrace(f"entry {i}: does not chain with the previous step")
-        view = spine(entry.before)
-        if not (isinstance(view.head, HeadH) and view.args):
+        _, head, args = spine(entry.before)
+        if head.__class__ is not Tower:
             raise InvalidTrace(f"entry {i}: head is not an applied H")
-        expected_kind = StepKind.J_DROP if len(view.args) == 1 else StepKind.J_WRAP
+        expected_kind = StepKind.J_WRAP if args else StepKind.J_DROP
         if entry.kind is not expected_kind:
             raise InvalidTrace(f"entry {i}: kind should be {expected_kind.value}")
         if j_step(entry.before) != entry.after:
@@ -364,7 +368,7 @@ def lift_j_trace(
     lifted: list[TraceEntry] = []
     drops = 0
     for i, entry in enumerate(entries):
-        if spine(entry.before).binders:
+        if spine(entry.before)[0]:
             raise InvalidTrace(
                 f"entry {i}: a step under a binder prefix cannot be lifted"
             )
@@ -439,9 +443,14 @@ def _extract_idempotent(t: Term):
 
 
 def _extract_collapse(t: Term):
-    base, args = unwind_app(t)
+    # split a tower one H at a time, as an application like any other
+    base, args = t, []
+    while isinstance(base, App):
+        args.append(base.arg)
+        base = base.fun
     if not args:
         return _SKIP
+    args.reverse()
     image = extract(t)
     for split in range(len(args)):
         operator = apply_args(base, args[:split])
@@ -493,8 +502,7 @@ def _make_pair_congruence(rng: random.Random) -> Callable:
 
 
 def _i_step_invariant(t: Term):
-    view = spine(t)
-    if not (isinstance(view.head, HeadH) and view.args):
+    if spine(t)[1].__class__ is not Tower:
         return _SKIP
     stepped = i_step(t)
     if size(stepped) != size(t) - 2:
@@ -505,8 +513,7 @@ def _i_step_invariant(t: Term):
 
 
 def _j_step_invariant(t: Term):
-    view = spine(t)
-    if not (isinstance(view.head, HeadH) and view.args):
+    if spine(t)[1].__class__ is not Tower:
         return _SKIP
     stepped = j_step(t)
     if extract(stepped) != extract(t):
@@ -561,10 +568,10 @@ def _pure_j_terminates(t: Term):
 
 def _make_paired_t_step(rng: random.Random) -> Callable:
     def check(t: Term):
-        if not isinstance(spine(t).head, HeadRedex):
+        if spine(t)[1].__class__ is not Abs:
             return _SKIP
         partner = wrap_applied_h(t, rng, protect_head=True)
-        if not isinstance(spine(partner).head, HeadRedex):
+        if spine(partner)[1].__class__ is not Abs:
             return _SKIP
         if extract(t_step(t)) != extract(t_step(partner)):
             return f"{_show(t)} vs {_show(partner)}"
@@ -637,7 +644,7 @@ def _lift_replays(t: Term):
     out = run(t, Strategy.PURE_J, 0, keep_trace=True)
     prefix = []
     for entry in out.trace:
-        if spine(entry.before).binders:
+        if spine(entry.before)[0]:
             break
         prefix.append(entry)
     if not prefix:

@@ -22,17 +22,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .syntax import format_term
-from .terms import (
-    Abs,
-    App,
-    ConstH,
-    HeadH,
-    HeadRedex,
-    HeadVar,
-    Term,
-    Tower,
-    spine,
-)
+from .terms import Abs, App, ConstH, Term, Tower, Var, spine
 
 
 # the rebuild marker of an abstraction on the work stack of ``extract``
@@ -112,16 +102,14 @@ class ShapeViolation(Exception):
 
 
 def classify(image: Term) -> EShape:
-    view = spine(image)
-    match view.head:
-        case HeadVar(_):
-            return EShape.LAMBDA_VAR_APPS
-        case HeadRedex(_, _):
-            return EShape.LAMBDA_REDEX_APPS
-        case HeadH():
-            if view.args:
-                raise ShapeViolation(image)
-            return EShape.LAMBDA_H
+    cls = spine(image)[1].__class__
+    if cls is Var:
+        return EShape.LAMBDA_VAR_APPS
+    if cls is Abs:
+        return EShape.LAMBDA_REDEX_APPS
+    if cls is Tower:
+        raise ShapeViolation(image)
+    return EShape.LAMBDA_H
 
 
 def has_applied_h(t: Term) -> bool:

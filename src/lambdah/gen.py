@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .extraction import extract
-from .terms import Abs, App, H, Term, Var, alpha_eq
+from .terms import Abs, App, H, Term, Var
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,7 +142,7 @@ def pair_stream(cfg: GenConfig, density: float = 0.25) -> Iterator[tuple[Term, T
         base = _random_term(rng, cfg.max_size, cfg.free_vars, cfg.h_weight)
         left = wrap_applied_h(base, rng, density)
         right = wrap_applied_h(base, rng, density)
-        if not alpha_eq(extract(left), extract(right)):
+        if extract(left) != extract(right):
             raise AssertionError(
                 f"pair_stream (seed {cfg.seed}): two wrappings of one base "
                 "extract to different images"

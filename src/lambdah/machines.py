@@ -31,8 +31,9 @@ steps taken.
 
 ``run`` keeps its state unwound, in the manner of Krivine's machine:
 a binder count, a head term, and the head's arguments on a stack with
-the first on top.  A step contracts the head against the top of the
-stack, and settling the new head pushes its own applications, so a
+the first on top, the three parts ``terms.spine`` returns.  A step
+contracts the head against the top of the stack, and ``spine`` settles
+the new head over the same stack, pushing its own applications, so a
 step costs the size of the new head's spine (plus the substitution's
 walk down the redex body), not the size of the state.  A t-step does
 not build the application spine of the redex body only for settling to
@@ -40,8 +41,8 @@ take it apart: it pushes each argument of that spine onto the stack,
 substituted on its own, and substitutes into the spine's base alone, so
 a body ``x x`` costs no new node.  A ``Term`` is read back from the
 three parts only for an outcome, an AuxCapExceeded message or a trace
-entry.  The single steps ``t_step``, ``i_step`` and
-``j_step`` unwind, contract and read back through the same helpers.
+entry.  The single steps ``t_step``, ``i_step`` and ``j_step`` unwind
+with ``spine``, contract and read back through the same helpers.
 
 An applied H at the head is a tower ``H^n U1`` (see ``terms.Tower``),
 and its n levels are n auxiliary steps of one kind, since the stack
@@ -87,18 +88,7 @@ from enum import Enum
 from typing import Iterator, Sequence
 
 from .syntax import format_term
-from .terms import (  # spine is unused here but stays a name perfbench patches
-    Abs,
-    App,
-    ConstH,
-    H,
-    Term,
-    Tower,
-    Var,
-    size,
-    spine,
-    substitute,
-)
+from .terms import Abs, App, Term, Tower, Var, size, spine, substitute
 
 
 # ---------- step kinds and traces ----------
@@ -164,35 +154,10 @@ class AuxCapExceeded(Exception):
 
 # ---------- the unwound state ----------
 
-# A state ``lam^binders. head a1 .. an`` is held in three parts: the
-# binder count, the head term, and the arguments as a list with a1 on
-# top (last).  Settling pushes the head's applications onto the list,
-# strips a binder only while no argument is waiting, and folds an H
-# with an argument waiting into a tower.  So a settled head is a
-# variable, a bare H with no argument waiting, a tower (an applied H:
-# H^n U1 with U1 its base), or an abstraction with an argument waiting:
-# a beta redex.
-
-
-def _settle(binders: int, head: Term, stack: list[Term]) -> tuple[int, Term]:
-    while True:
-        cls = head.__class__
-        if cls is App:
-            stack.append(head.arg)
-            head = head.fun
-        elif cls is Abs and not stack:
-            binders += 1
-            head = head.body
-        elif cls is ConstH and stack:
-            head = App(H, stack.pop())
-        else:
-            return binders, head
-
-
-def _unwind(t: Term) -> tuple[int, Term, list[Term]]:
-    stack: list[Term] = []
-    binders, head = _settle(0, t, stack)
-    return binders, head, stack
+# A state ``lam^binders. head a1 .. an`` is held in three parts, as
+# ``terms.spine`` hands them back: the binder count, the head, and the
+# arguments as a list with a1 on top (last).  After a step the new head
+# is settled by ``spine`` over the same binder count and list.
 
 
 def _lower(head: Tower, n: int, wrap: bool, stack: list[Term]) -> Term:
@@ -216,7 +181,7 @@ def _readback(binders: int, head: Term, stack: list[Term]) -> Term:
 
 def t_step(t: Term) -> Term:
     """One head beta step."""
-    binders, head, stack = _unwind(t)
+    binders, head, stack = spine(t)
     if head.__class__ is not Abs:
         raise NotATRedex(f"head is not a beta redex: {format_term(t)}")
     return _readback(binders, substitute(head.body, stack.pop()), stack)
@@ -224,7 +189,7 @@ def t_step(t: Term) -> Term:
 
 def i_step(t: Term) -> Term:
     """Drop the head H in front of its arguments."""
-    binders, head, stack = _unwind(t)
+    binders, head, stack = spine(t)
     if head.__class__ is not Tower:
         raise NotAnIRedex(f"head is not an applied H: {format_term(t)}")
     return _readback(binders, _lower(head, 1, False, stack), stack)
@@ -233,7 +198,7 @@ def i_step(t: Term) -> Term:
 def j_step(t: Term) -> Term:
     """Move the head H onto the second argument, or drop it if there is
     only one."""
-    binders, head, stack = _unwind(t)
+    binders, head, stack = spine(t)
     if head.__class__ is not Tower:
         raise NotAJRedex(f"head is not an applied H: {format_term(t)}")
     return _readback(binders, _lower(head, 1, bool(stack), stack), stack)
@@ -321,7 +286,7 @@ def run(
     # the state as a Term while one is at hand: the input, then the last
     # traced state; None once an untraced step has moved past it
     state: Term | None = t
-    binders, head, stack = _unwind(t)
+    binders, head, stack = spine(t)
     t_steps = aux_steps = aux_since_t = burst_cap = 0
     while True:
         if aux is not None and head.__class__ is Tower:
@@ -373,7 +338,7 @@ def run(
         else:
             stop = Hnf
             break
-        binders, head = _settle(binders, new, stack)
+        binders, head, stack = spine(new, binders, stack)
         if trace is None:
             state = None
         else:

@@ -28,17 +28,18 @@ tower at once rather than one H at a time.  The form is canonical:
 ``App(H, x)`` returns a tower (one level taller if x is one), so no
 plain ``App`` has H as its operator and a tower's base is never a
 tower.  ``Tower`` is a subclass of ``App`` whose ``fun`` is H and whose
-``arg`` is the tower one lower, built on demand, so the spine view and
-any walk through ``fun`` and ``arg`` see the expanded term.  ``fv``,
-equality and hashing stay structural, and ``size`` counts the expanded
-nodes, 2n + size(M) for a tower of height n.
+``arg`` is the tower one lower, built on demand, so any walk through
+``fun`` and ``arg`` (an ``isinstance(t, App)`` test included) sees the
+expanded term.  ``fv``, equality and hashing stay structural, and
+``size`` counts the expanded nodes, 2n + size(M) for a tower of height n.
 
-The spine view decomposes a term as ``lam x1 .. xb. h a1 .. an`` where
-the head ``h`` is a variable, the constant H, or a beta redex whose
-operator is an abstraction.  Exactly one of the three cases applies, and
-head normal forms are the terms whose head is a variable (any number of
-arguments) or a bare H (no arguments at all: an applied H is work left
-to do, not a result).
+``spine`` is the one unwinding of a term, ``lam x1 .. xb. h a1 .. an``,
+shared by the machines, extraction and the checks.  The head ``h`` is a
+variable, a bare H, a tower (an applied H, taken whole), or an
+abstraction with an argument waiting (a beta redex); exactly one case
+applies.  Head normal forms are the terms whose head is a variable (any
+number of arguments) or a bare H (no arguments at all: an applied H is
+work left to do, not a result).
 
 No walk over a term recurses.  Equality, hashing, ``size``, shifting,
 substitution and ``subst_const_h`` keep their work on explicit stacks,
@@ -49,7 +50,7 @@ are bounded by it.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from typing import Iterable
 
 
@@ -280,11 +281,6 @@ def _tower(height: int, base: "Term") -> Tower:
 Term = Var | Abs | App | ConstH
 
 
-def alpha_eq(a: Term, b: Term) -> bool:
-    """Alpha equivalence; on nameless terms this is structural equality."""
-    return a == b
-
-
 def size(t: Term) -> int:
     """Node count: every constructor, including H, costs one, and a
     tower counts as the applications and H's it stands for."""
@@ -305,97 +301,49 @@ def size(t: Term) -> int:
     return n
 
 
-def max_free_index(t: Term, depth: int = 0) -> int:
-    """Largest free index relative to ``depth``, or -1 if t is closed."""
-    return max(t.fv - depth, 0) - 1
-
-
 def is_closed(t: Term) -> bool:
     return t.fv == 0
 
 
-# ---------- application spine helpers ----------
+# ---------- the spine ----------
 
 
-def unwind_app(t: Term) -> tuple[Term, tuple[Term, ...]]:
-    """Split t into its application base and argument list, left to right."""
-    args: list[Term] = []
-    while isinstance(t, App):
-        args.append(t.arg)
-        t = t.fun
-    args.reverse()
-    return t, tuple(args)
+def spine(
+    t: Term, binders: int = 0, args: list[Term] | None = None
+) -> tuple[int, Term, list[Term]]:
+    """Unwind t as ``lam^binders. head a1 .. an``.
+
+    The head is a variable, a bare H, a ``Tower`` (an applied H: its base
+    is the first argument of its bottom H), or an abstraction with an
+    argument waiting: a beta redex.  ``args`` holds a1 .. an with a1
+    last, on top, the way a machine keeps its stack.  A tower is one
+    head, not unwound H by H.
+
+    To settle a new head into a machine's state, pass the state's
+    binder count and argument stack: the head's own applications are
+    pushed onto that list, a binder is stripped only while no argument
+    waits, and an H with an argument waiting becomes a tower.
+    """
+    if args is None:
+        args = []
+    while True:
+        cls = t.__class__
+        if cls is App:
+            args.append(t.arg)
+            t = t.fun
+        elif cls is Abs and not args:
+            binders += 1
+            t = t.body
+        elif cls is ConstH and args:
+            t = App(H, args.pop())
+        else:
+            return binders, t, args
 
 
 def apply_args(t: Term, args: Iterable[Term]) -> Term:
     for a in args:
         t = App(t, a)
     return t
-
-
-# ---------- spine view ----------
-
-
-@dataclass(frozen=True, slots=True)
-class HeadVar:
-    index: int
-
-
-@dataclass(frozen=True, slots=True)
-class HeadH:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class HeadRedex:
-    fun: Term  # always an Abs
-    arg: Term
-
-
-Head = HeadVar | HeadH | HeadRedex
-
-
-@dataclass(frozen=True, slots=True)
-class SpineView:
-    binders: int
-    head: Head
-    args: tuple[Term, ...]
-
-
-def spine(t: Term) -> SpineView:
-    """Decompose t as lam^binders. head args.
-
-    After stripping the leading binders the term cannot itself be an
-    abstraction, so an Abs found at the base of the application walk is
-    necessarily applied to at least one argument: that application is
-    the head redex.
-    """
-    binders = 0
-    while isinstance(t, Abs):
-        binders += 1
-        t = t.body
-    base, args = unwind_app(t)
-    head: Head
-    if isinstance(base, Var):
-        head = HeadVar(base.index)
-    elif isinstance(base, ConstH):
-        head = HeadH()
-    else:
-        head = HeadRedex(base, args[0])
-        args = args[1:]
-    return SpineView(binders, head, args)
-
-
-def is_hnf(t: Term) -> bool:
-    """Head normal form: head variable, or a bare H with no arguments."""
-    view = spine(t)
-    match view.head:
-        case HeadVar(_):
-            return True
-        case HeadH():
-            return not view.args
-        case _:
-            return False
 
 
 # ---------- substitution ----------

@@ -1,11 +1,14 @@
 """Independent oracles the tests check the library against.
 
 The counting recurrence is plain arithmetic on the grammar,
-``recompose`` rebuilds a term from its spine view by the grammar alone,
-and the substitution oracle works on named trees with eager renaming,
-the textbook definition that de Bruijn indices are supposed to
-implement.  ``reference_run`` is the machine driver written the direct
-way: it re-reads the whole state through ``spine`` before every step and
+``recompose`` rebuilds a term from what ``terms.spine`` returns by the
+grammar alone, and ``decompose`` is the spine read the textbook way:
+strip the binders, walk ``fun`` and ``arg`` with every tower expanded
+one H at a time (``application_spine``), and classify the base.  The
+substitution oracle works on named trees with eager renaming, the
+textbook definition that de Bruijn indices are supposed to implement.
+``reference_run`` is the machine driver written the direct way: it
+re-reads the whole state through ``decompose`` before every step and
 rebuilds the whole state after it, so it shares only the outcome types
 and ``substitute`` with the unwound machine it checks.
 ``count_h_and_apps`` counts the two kinds of node that bound a burst.
@@ -44,16 +47,11 @@ from lambdah.terms import (
     App,
     ConstH,
     H,
-    Tower,
-    HeadH,
-    HeadRedex,
-    HeadVar,
-    SpineView,
     Term,
+    Tower,
     Var,
     apply_args,
     size,
-    spine,
     substitute,
 )
 
@@ -77,19 +75,36 @@ def count_terms(n: int, free: int) -> int:
     return total
 
 
-def recompose(view: SpineView) -> Term:
-    """The term ``lam^binders. head args`` that ``spine`` decomposed."""
-    match view.head:
-        case HeadVar(i):
-            t: Term = Var(i)
-        case HeadH():
-            t = H
-        case HeadRedex(fun, arg):
-            t = App(fun, arg)
-    t = apply_args(t, view.args)
-    for _ in range(view.binders):
+def recompose(binders: int, head: Term, args: list[Term]) -> Term:
+    """The term ``lam^binders. head a1 .. an`` that ``spine`` returned as
+    its binder count, head and arguments (a1 last)."""
+    t = apply_args(head, reversed(args))
+    for _ in range(binders):
         t = Abs(t)
     return t
+
+
+def application_spine(t: Term) -> tuple[Term, list[Term]]:
+    """The base of t's applications and their arguments, left to right;
+    a tower is an application like any other, one H at a time."""
+    args = []
+    while isinstance(t, App):
+        args.append(t.arg)
+        t = t.fun
+    args.reverse()
+    return t, args
+
+
+def decompose(t: Term) -> tuple[int, Term, list[Term]]:
+    """``lam^binders. base a1 .. an`` with the arguments left to right:
+    the base is a variable, H (applied or not), or an abstraction, which
+    then has the redex's argument as a1."""
+    binders = 0
+    while isinstance(t, Abs):
+        binders += 1
+        t = t.body
+    base, args = application_spine(t)
+    return binders, base, args
 
 
 # ---------- named substitution oracle ----------
@@ -182,28 +197,26 @@ def oracle_substitute(body: Term, value: Term) -> Term:
 # ---------- reference machine driver ----------
 
 
-def _rebuild(view: SpineView, base: Term, args) -> Term:
+def _rebuild(binders: int, base: Term, args) -> Term:
     t = apply_args(base, args)
-    for _ in range(view.binders):
+    for _ in range(binders):
         t = Abs(t)
     return t
 
 
-def _ref_contract_t(view: SpineView) -> Term:
-    head = view.head
-    return _rebuild(view, substitute(head.fun.body, head.arg), view.args)
+def _ref_contract_t(binders: int, fun: Abs, args: list[Term]) -> Term:
+    return _rebuild(binders, substitute(fun.body, args[0]), args[1:])
 
 
-def _ref_contract_i(view: SpineView) -> tuple[Term, StepKind]:
-    return _rebuild(view, view.args[0], view.args[1:]), StepKind.I
+def _ref_contract_i(binders: int, args: list[Term]) -> tuple[Term, StepKind]:
+    return _rebuild(binders, args[0], args[1:]), StepKind.I
 
 
-def _ref_contract_j(view: SpineView) -> tuple[Term, StepKind]:
-    args = view.args
+def _ref_contract_j(binders: int, args: list[Term]) -> tuple[Term, StepKind]:
     if len(args) == 1:
-        return _rebuild(view, args[0], ()), StepKind.J_DROP
-    wrapped = (App(H, args[1]),) + args[2:]
-    return _rebuild(view, args[0], wrapped), StepKind.J_WRAP
+        return _rebuild(binders, args[0], ()), StepKind.J_DROP
+    wrapped = [App(H, args[1])] + args[2:]
+    return _rebuild(binders, args[0], wrapped), StepKind.J_WRAP
 
 
 _REF_STEPS = {
@@ -223,7 +236,7 @@ def reference_run(
     keep_trace: bool = False,
     max_state: int | None = None,
 ) -> MachineOutcome:
-    """``machines.run`` by whole-state rewriting: one spine view per
+    """``machines.run`` by whole-state rewriting: one decomposition per
     step, one rebuilt state after it, one size walk per burst."""
     trace: list[TraceEntry] | None = [] if keep_trace else None
     contract_aux, takes_t = _REF_STEPS[strategy]
@@ -234,9 +247,8 @@ def reference_run(
         return tuple(trace) if trace is not None else None
 
     while True:
-        view = spine(t)
-        head = view.head
-        if contract_aux is not None and isinstance(head, HeadH) and view.args:
+        binders, base, args = decompose(t)
+        if contract_aux is not None and isinstance(base, ConstH) and args:
             if aux_since_t == 0:
                 state_size = size(t)
                 if state_size > budget:
@@ -249,17 +261,17 @@ def reference_run(
                     f"(cap {burst_cap}) from {format_term(t)}"
                 )
             before = t
-            t, kind = contract_aux(view)
+            t, kind = contract_aux(binders, args)
             aux_steps += 1
             aux_since_t += 1
             if trace is not None:
                 trace.append(TraceEntry(kind, before, t, t_steps))
             continue
-        if takes_t and isinstance(head, HeadRedex):
+        if takes_t and isinstance(base, Abs):
             if t_steps >= fuel:
                 return FuelExhausted(t, t_steps, frozen(), aux_steps)
             before = t
-            t = _ref_contract_t(view)
+            t = _ref_contract_t(binders, base, args)
             t_steps += 1
             aux_since_t = 0
             if trace is not None:

@@ -44,17 +44,20 @@ from lambdah.terms import (
     Abs,
     App,
     H,
-    HeadH,
-    HeadVar,
+    Tower,
     Var,
     apply_args,
     size,
     spine,
     subst_const_h,
     substitute,
-    unwind_app,
 )
-from oracles import count_h_and_apps, count_terms, oracle_substitute
+from oracles import (
+    application_spine,
+    count_h_and_apps,
+    count_terms,
+    oracle_substitute,
+)
 
 SEED = 7
 LOCKSTEP_SEED = 11
@@ -92,7 +95,7 @@ def test_extraction_laws_hold_at_scale(corpus):
         image = extract(t)
         if extract(image) != image:
             bad.append(("idempotence", format_term(t)))
-        base, args = unwind_app(t)
+        base, args = application_spine(t)
         for split in range(len(args)):
             operator = apply_args(base, args[:split])
             rebuilt = apply_args(
@@ -122,8 +125,7 @@ def test_extraction_laws_hold_at_scale(corpus):
 def test_single_aux_steps_preserve_the_image(corpus):
     checked = 0
     for t in corpus:
-        view = spine(t)
-        if not (isinstance(view.head, HeadH) and view.args):
+        if not isinstance(spine(t)[1], Tower):
             continue
         checked += 1
         image = extract(t)
@@ -222,9 +224,9 @@ def test_reduction_anchors():
     out = run(J, Strategy.T_HEAD, 50)
     assert isinstance(out, Hnf)
     assert out.t_steps == 3
-    view = spine(out.result)
-    assert view.binders == 2
-    assert view.head == HeadVar(1)  # the outermost of the two binders
+    binders, head, _ = spine(out.result)
+    assert binders == 2
+    assert head == Var(1)  # the outermost of the two binders
 
     om = run(OMEGA, Strategy.T_HEAD, 1000)
     assert isinstance(om, FuelExhausted)

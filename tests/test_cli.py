@@ -276,6 +276,16 @@ def test_missing_file_exits_2(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_fmt_of_a_directory_exits_2(capsys, tmp_path):
+    assert main(["fmt", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_corpus_of_a_directory_exits_2(capsys, tmp_path):
+    assert main(["corpus", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["reduce", "x", "--strategy", "bogus"]) == 2

@@ -14,7 +14,7 @@ from lambdah.extraction import (
 )
 from lambdah.gen import GenConfig, enumerate_terms, pair_stream, wrap_applied_h
 from lambdah.syntax import format_term, parse_term
-from lambdah.terms import Abs, App, H, Var, alpha_eq, substitute
+from lambdah.terms import Abs, App, H, Var, substitute
 
 
 def term(text, frees=None):
@@ -121,7 +121,7 @@ def test_extract_commutes_with_substitution():
         for value in probes:
             lhs = extract(substitute(body, value))
             rhs = extract(substitute(extract(body), extract(value)))
-            assert alpha_eq(lhs, rhs), (body, value)
+            assert lhs == rhs, (body, value)
 
 
 def test_application_collapse_identity():
@@ -140,10 +140,10 @@ def test_wrapping_any_subterm_with_applied_h_preserves_the_image():
     rng = random.Random(5)
     for t in enumerate_terms(5, free_vars=1):
         wrapped = wrap_applied_h(t, rng, density=0.5)
-        assert alpha_eq(extract(wrapped), extract(t))
+        assert extract(wrapped) == extract(t)
 
 
 def test_pair_stream_yields_equal_image_pairs():
     cfg = GenConfig(seed=11, max_size=14, free_vars=2)
     for left, right in islice(pair_stream(cfg), 200):
-        assert alpha_eq(extract(left), extract(right))
+        assert extract(left) == extract(right)

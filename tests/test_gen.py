@@ -19,10 +19,8 @@ from lambdah.terms import (
     Abs,
     App,
     H,
-    HeadRedex,
     Tower,
     Var,
-    alpha_eq,
     size,
     spine,
 )
@@ -140,14 +138,14 @@ def test_closed_terms_fall_back_to_h_leaves():
 def test_wrapping_with_applied_h_never_changes_the_image():
     for i, t in enumerate(enumerate_terms(5, free_vars=1)):
         wrapped = wrap_applied_h(t, random.Random(i), density=0.5)
-        assert alpha_eq(extract(wrapped), extract(t))
+        assert extract(wrapped) == extract(t)
 
 
 def test_full_density_wrap_touches_every_open_position():
     t = App(Abs(Var(0)), Var(0))
     wrapped = wrap_applied_h(t, random.Random(0), density=1.0)
     assert wrapped == App(H, App(App(H, Abs(App(H, Var(0)))), App(H, Var(0))))
-    assert alpha_eq(extract(wrapped), extract(t))
+    assert extract(wrapped) == extract(t)
 
 
 def test_protect_head_keeps_a_head_redex_in_place():
@@ -155,7 +153,7 @@ def test_protect_head_keeps_a_head_redex_in_place():
     wrapped = wrap_applied_h(t, random.Random(0), density=1.0, protect_head=True)
     # binder prefix and operator spine untouched, argument still wrapped
     assert wrapped == App(Abs(Var(0)), App(H, Var(0)))
-    assert isinstance(spine(wrapped).head, HeadRedex)
+    assert isinstance(spine(wrapped)[1], Abs)
 
 
 def test_wrapping_draws_its_coins_in_the_order_of_the_recursive_walk():
@@ -205,7 +203,7 @@ def test_wrapping_a_deep_term_needs_no_recursion():
 def test_pair_stream_yields_equal_image_pairs():
     cfg = GenConfig(seed=11, max_size=10, free_vars=1)
     for left, right in islice(pair_stream(cfg), 30):
-        assert alpha_eq(extract(left), extract(right))
+        assert extract(left) == extract(right)
 
 
 def test_pair_stream_is_deterministic():

@@ -40,13 +40,9 @@ from lambdah.terms import (
     Abs,
     App,
     H,
-    HeadH,
-    HeadVar,
     Tower,
     Var,
-    alpha_eq,
     apply_args,
-    is_hnf,
     size,
     spine,
 )
@@ -90,8 +86,7 @@ def test_i_step_drops_the_head_h():
 
 def test_i_step_shrinks_by_exactly_two_nodes():
     for t in enumerate_terms(6, free_vars=1):
-        view = spine(t)
-        if isinstance(view.head, HeadH) and view.args:
+        if isinstance(spine(t)[1], Tower):
             assert size(i_step(t)) == size(t) - 2
 
 
@@ -119,10 +114,9 @@ def test_j_step_rejects_bare_h():
 
 def test_i_and_j_steps_preserve_the_extraction_image():
     for t in enumerate_terms(6, free_vars=1):
-        view = spine(t)
-        if isinstance(view.head, HeadH) and view.args:
-            assert alpha_eq(extract(i_step(t)), extract(t))
-            assert alpha_eq(extract(j_step(t)), extract(t))
+        if isinstance(spine(t)[1], Tower):
+            assert extract(i_step(t)) == extract(t)
+            assert extract(j_step(t)) == extract(t)
 
 
 # ---------- the machine ----------
@@ -511,10 +505,10 @@ def test_a_j_wrap_burst_over_a_long_spine():
     rest = [Var(2 + k % 3) for k in range(n - 1)]
     out = run(apply_args(h_tower(n, Var(0)), rest), Strategy.PURE_J, 0, max_state=10**6)
     assert isinstance(out, Hnf) and out.aux_steps == n
-    view = spine(out.result)
-    assert view.head == HeadVar(0)
-    assert view.args[1:] == tuple(rest[1:])
-    wrapped, height = view.args[0], 0
+    _, head, args = spine(out.result)
+    assert head == Var(0)
+    assert args[-2::-1] == rest[1:]
+    wrapped, height = args[-1], 0
     while isinstance(wrapped, App) and wrapped.fun is H:
         wrapped, height = wrapped.arg, height + 1
     assert (wrapped, height) == (rest[0], n)
@@ -555,10 +549,10 @@ def test_j_head_reduces_to_an_eta_layer():
     out = run(J, Strategy.T_HEAD, 50)
     assert isinstance(out, Hnf)
     assert out.t_steps == 3
-    view = spine(out.result)
-    assert view.binders == 2
-    assert view.head == HeadVar(1)
-    assert len(view.args) == 1
+    binders, head, args = spine(out.result)
+    assert binders == 2
+    assert head == Var(1)
+    assert len(args) == 1
 
 
 def test_y_is_a_fixed_point_combinator():

@@ -20,7 +20,7 @@ from lambdah.syntax import (
     parse_term,
     source_lines,
 )
-from lambdah.terms import Abs, App, H, Tower, Var, max_free_index
+from lambdah.terms import Abs, App, H, Tower, Var
 from oracles import REFERENCE_TOKEN
 
 
@@ -295,7 +295,7 @@ def test_format_and_parse_are_inverse_on_enumerated_terms():
 
 def test_round_trip_on_random_terms():
     for i, t in zip(range(300), term_stream(GenConfig(seed=9, max_size=30, free_vars=3))):
-        names = tuple(f"v{i}" for i in range(max_free_index(t) + 1))
+        names = tuple(f"v{i}" for i in range(t.fv))
         text = format_term(t, names)
         assert parse_term(text, names)[0] == t
 
@@ -318,7 +318,7 @@ def test_towers_round_trip_through_any_spacing(seed, density, data):
     # boundaries, which must not change the term it reads as
     base = next(term_stream(GenConfig(seed=seed, max_size=16, free_vars=2)))
     t = wrap_applied_h(base, random.Random(seed), density)
-    names = tuple(f"v{i}" for i in range(max_free_index(t) + 1))
+    names = tuple(f"v{i}" for i in range(t.fv))
     text = format_term(t, names)
     assert parse_term(text, names)[0] == t
     tokens = _PRINTED_TOKEN.findall(text)

@@ -1,4 +1,4 @@
-"""Core term tests: spine views, hnf, substitution, H replacement."""
+"""Core term tests: the spine, hnf, substitution, H replacement."""
 
 import pickle
 import random
@@ -18,17 +18,11 @@ from lambdah.syntax import format_term, parse_term
 from lambdah.terms import (
     Abs,
     App,
+    ConstH,
     H,
-    HeadH,
-    HeadRedex,
-    HeadVar,
-    SpineView,
     Tower,
     Var,
-    alpha_eq,
     is_closed,
-    is_hnf,
-    max_free_index,
     shift,
     size,
     spine,
@@ -36,6 +30,8 @@ from lambdah.terms import (
     substitute,
 )
 from oracles import (
+    count_terms,
+    decompose,
     oracle_substitute,
     recompose,
     recursive_extract,
@@ -57,52 +53,91 @@ def default_recursion_limit():
     sys.setrecursionlimit(saved)
 
 
-# ---------- spine views ----------
+# ---------- the spine ----------
 
 
 def test_spine_of_abstraction_with_head_variable():
     # \x.x y with y free: one binder, head is the bound x, one argument
-    view = spine(term("\\x.x y"))
-    assert view.binders == 1
-    assert view.head == HeadVar(0)
-    assert view.args == (Var(1),)
+    assert spine(term("\\x.x y")) == (1, Var(0), [Var(1)])
 
 
 def test_spine_of_bare_h_under_binder():
-    view = spine(term("\\x.H"))
-    assert view.binders == 1
-    assert view.head == HeadH()
-    assert view.args == ()
+    assert spine(term("\\x.H")) == (1, H, [])
 
 
 def test_spine_of_applied_h():
-    view = spine(term("H x"))
-    assert view.binders == 0
-    assert view.head == HeadH()
-    assert view.args == (Var(0),)
+    # an applied H is one head, a tower whose base is its first argument
+    assert spine(term("H x")) == (0, Tower(1, Var(0)), [])
+    assert spine(term("H (H x) y z")) == (0, Tower(2, Var(0)), [Var(2), Var(1)])
 
 
 def test_spine_of_head_redex():
-    view = spine(term("(\\x.x) y"))
-    assert view.binders == 0
-    assert view.head == HeadRedex(Abs(Var(0)), Var(0))
-    assert view.args == ()
+    # the redex's argument is the first argument, on top of the stack
+    assert spine(term("(\\x.x) y")) == (0, Abs(Var(0)), [Var(0)])
+    assert spine(term("(\\x.x) y z")) == (0, Abs(Var(0)), [Var(1), Var(0)])
 
 
 def test_spine_head_redex_fun_is_always_an_abstraction():
     for t in enumerate_terms(6, free_vars=1):
-        head = spine(t).head
-        assert isinstance(head, (HeadVar, HeadH, HeadRedex))
-        if isinstance(head, HeadRedex):
-            assert isinstance(head.fun, Abs)
+        _, head, args = spine(t)
+        assert head.__class__ in (Var, ConstH, Tower, Abs)
+        if head.__class__ is Abs:
+            assert args  # a beta redex
+        if head.__class__ is ConstH:
+            assert not args  # a bare H
 
 
 def test_recompose_inverts_spine_on_enumerated_terms():
     for t in enumerate_terms(6, free_vars=1):
-        assert recompose(spine(t)) == t
+        assert recompose(*spine(t)) == t
+
+
+def as_decomposed(binders, head, args):
+    """``spine``'s answer as ``decompose`` reads a term: arguments left
+    to right, a tower at the head taken as its bottom H."""
+    args = args[::-1]
+    if head.__class__ is Tower:
+        return binders, H, [head.arg] + args
+    return binders, head, args
+
+
+def test_spine_agrees_with_the_oracle_decomposition():
+    checked = 0
+    for t in enumerate_terms(7, free_vars=2):
+        assert as_decomposed(*spine(t)) == decompose(t), t
+        checked += 1
+    assert checked == sum(count_terms(n, 2) for n in range(1, 8))
+    for n in (1, 2, 1000):
+        for base in (Var(0), Abs(Var(0)), App(Var(1), Var(0))):
+            for t in (
+                Tower(n, base),
+                App(App(Tower(n, base), Var(1)), Tower(n, Var(2))),
+                Abs(Abs(App(Tower(n, base), H))),
+            ):
+                assert as_decomposed(*spine(t)) == decompose(t), (n, t)
+                assert recompose(*spine(t)) == t
+
+
+def test_spine_settles_a_new_head_over_a_stack():
+    # the machine's use: binders and arguments already unwound are passed
+    # in, and the new head's applications go on top of them
+    stack = [Var(3)]
+    assert spine(App(Var(0), Var(1)), 2, stack) == (2, Var(0), [Var(3), Var(1)])
+    # a binder is not stripped while an argument waits: that is a redex
+    assert spine(Abs(Var(0)), 1, [Var(2)]) == (1, Abs(Var(0)), [Var(2)])
+    assert spine(Abs(Var(0)), 1, []) == (2, Var(0), [])
+    # an H with an argument waiting becomes a tower, one taller if the
+    # argument is one
+    assert spine(H, 0, [Var(0), Tower(2, Var(1))]) == (0, Tower(3, Var(1)), [Var(0)])
+    assert spine(H, 0, []) == (0, H, [])
 
 
 # ---------- head normal forms ----------
+
+
+def is_hnf(t):
+    # a head normal form: the IT machine has no step to take from it
+    return run(t, Strategy.IT, 0) == Hnf(t, 0, 0)
 
 
 def test_head_variable_with_arguments_is_hnf():
@@ -128,11 +163,11 @@ def test_head_redex_is_not_hnf():
 
 
 def test_alpha_eq_ignores_binder_names():
-    assert alpha_eq(term("\\x.x"), term("\\y.y"))
+    assert term("\\x.x") == term("\\y.y")
 
 
 def test_alpha_eq_distinguishes_different_bindings():
-    assert not alpha_eq(term("\\x y.x"), term("\\x y.y"))
+    assert term("\\x y.x") != term("\\x y.y")
 
 
 def test_alpha_eq_is_an_equivalence_on_small_terms():
@@ -140,7 +175,7 @@ def test_alpha_eq_is_an_equivalence_on_small_terms():
     # and distinct enumerated terms are never identified
     terms = list(enumerate_terms(4, free_vars=1))
     for t in terms:
-        assert alpha_eq(t, t)
+        assert t == t
     assert len({t for t in terms}) == len(terms)
 
 
@@ -197,7 +232,7 @@ def test_substitute_matches_named_oracle_on_open_redexes():
             assert substitute(body, value) == oracle_substitute(body, value)
             checked += 1
             open_values += not is_closed(value)
-            decremented += max_free_index(body) > 0
+            decremented += body.fv > 1
     assert checked > 1000
     assert open_values > 500
     assert decremented > 500
@@ -274,7 +309,8 @@ def test_a_tower_is_seen_as_the_applications_it_stands_for():
             assert fun is H
             assert arg == Tower(1, base)
     assert t.arg.arg is t.base
-    assert spine(t) == SpineView(0, HeadH(), (Tower(1, base),))
+    assert spine(t) == (0, t, [])
+    assert decompose(t) == (0, H, [Tower(1, base)])
     assert size(t) == 4 + size(base)
     assert t.fv == 1
     assert t != Tower(1, base) and t != base
@@ -326,7 +362,7 @@ def test_deep_terms_pass_every_layer_without_recursion(shape, default_recursion_
     a = term(text, NAMES)
     b = term(format_term(a, NAMES), NAMES)
     assert a is not b
-    assert a == b and alpha_eq(a, b)
+    assert a == b
     assert hash(a) == hash(b)
     # shifting adds free variables in front of the context, and
     # substituting for x spells the shape with the value for x
@@ -383,7 +419,7 @@ def test_size_counts_every_constructor():
 def test_scoping_helpers():
     assert is_closed(term("\\x.x"))
     assert not is_closed(term("x y"))
-    assert max_free_index(term("x y")) == 1
+    assert term("x y").fv == 2
     assert term("x y").fv <= 2
     assert not term("x y").fv <= 1
     for t in enumerate_terms(5, free_vars=2):
@@ -439,7 +475,6 @@ def test_fv_matches_reference_on_enumerated_terms():
 @given(st.one_of(deep_terms(), wide_terms))
 def test_fv_matches_reference_on_drawn_terms(t):
     assert t.fv == reference_fv(t)
-    assert max_free_index(t) == reference_fv(t) - 1
     assert is_closed(t) == (reference_fv(t) == 0)
 
 
