@@ -30,7 +30,6 @@ from .extraction import EShape, ShapeViolation, classify, extract, has_applied_h
 from .gen import (
     GenConfig,
     enumerate_terms,
-    pair_stream,
     term_stream,
     wrap_applied_h,
 )
@@ -55,7 +54,6 @@ from .machines import (
     i_step,
     j_step,
     run,
-    solvable,
     t_step,
 )
 from .syntax import (
@@ -86,12 +84,12 @@ __all__ = [
     "BothRunning", "Checkpoint", "ConstH", "CorpusEntry", "Diverged",
     "EMismatch", "EShape", "FuelExhausted", "G", "GenConfig", "H", "Hnf", "I",
     "InvalidTrace", "J", "LiftWitness", "LockstepReport", "MachineOutcome",
-    "NotAJRedex", "NotATRedex", "NotAnIRedex", "OMEGA", "ParseError",
-    "ShapeViolation", "StepKind", "Strategy", "SuiteReport", "Term", "Tower",
-    "TraceEntry", "UnboundVariable", "Var", "Y", "apply_args", "classify",
-    "enumerate_terms", "extract", "format_term", "has_applied_h", "i_step",
-    "is_closed", "j_step", "lemma_suite", "lift_j_trace", "lockstep",
-    "pair_stream", "parse_term", "read_corpus", "replay_j_trace", "run",
-    "shift", "size", "solvable", "solved", "spine", "subst_const_h",
-    "substitute", "t_step", "term_stream", "theorem_check", "wrap_applied_h",
+    "NotAJRedex", "NotATRedex", "NotAnIRedex", "OMEGA", "Overflow",
+    "ParseError", "ShapeViolation", "StepKind", "Strategy", "SuiteReport",
+    "Term", "Tower", "TraceEntry", "UnboundVariable", "Var", "Y", "apply_args",
+    "classify", "enumerate_terms", "extract", "format_term", "has_applied_h",
+    "i_step", "is_closed", "j_step", "lemma_suite", "lift_j_trace", "lockstep",
+    "parse_term", "read_corpus", "replay_j_trace", "run", "shift", "size",
+    "solved", "spine", "subst_const_h", "substitute", "t_step", "term_stream",
+    "theorem_check", "wrap_applied_h",
 ]

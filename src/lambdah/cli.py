@@ -47,7 +47,6 @@ from .machines import (
     Overflow,
     Strategy,
     run,
-    solvable,
     trace_json,
 )
 from .syntax import ParseError, UnboundVariable, format_term, parse_term, source_lines
@@ -115,7 +114,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_solvable(args) -> int:
     term, names = _read_term(args.term)
-    outcome = solvable(term, args.fuel)
+    outcome = run(term, Strategy.T_HEAD, args.fuel)
     if isinstance(outcome, Hnf):
         print(f"hnf after {outcome.t_steps} t-steps")
         print(format_term(outcome.result, names))
@@ -218,6 +217,17 @@ def _cmd_corpus(args) -> int:
 # ---------- argument parsing ----------
 
 
+def _nat(text: str) -> int:
+    """A natural number, 0 included: every budget, size and count."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"invalid non-negative int value: {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lambdah",
@@ -239,21 +249,22 @@ def _build_parser() -> argparse.ArgumentParser:
         "--strategy",
         choices=[s.value for s in Strategy],
         default=Strategy.IT.value,
-        help="t, i, j, it, or jt (default it)",
+        help="t, it, or jt (default it); with --fuel 0, it and jt are pure "
+        "I- or J-reduction",
     )
-    p.add_argument("--fuel", type=int, default=1000, help="t-step budget")
+    p.add_argument("--fuel", type=_nat, default=1000, help="t-step budget")
     p.add_argument("--trace", action="store_true", help="print every step")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_reduce)
 
     p = sub.add_parser("solvable", help="head-reduce by t-steps alone")
     p.add_argument("term")
-    p.add_argument("--fuel", type=int, default=1000)
+    p.add_argument("--fuel", type=_nat, default=1000)
     p.set_defaults(fn=_cmd_solvable)
 
     p = sub.add_parser("lockstep", help="compare the IT and JT machines")
     p.add_argument("term")
-    p.add_argument("--max-t", type=int, default=100, help="paired t-step budget")
+    p.add_argument("--max-t", type=_nat, default=100, help="paired t-step budget")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_lockstep)
 
@@ -263,20 +274,20 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["all", "extraction", "machines", "equivalence"],
         default="all",
     )
-    p.add_argument("--max-size", type=int, default=5, help="exhaustive portion bound")
+    p.add_argument("--max-size", type=_nat, default=5, help="exhaustive portion bound")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=150, help="random portion size")
-    p.add_argument("--random-size", type=int, default=12, help="random term bound")
-    p.add_argument("--fuel", type=int, default=300)
-    p.add_argument("--max-t", type=int, default=50)
+    p.add_argument("--count", type=_nat, default=150, help="random portion size")
+    p.add_argument("--random-size", type=_nat, default=12, help="random term bound")
+    p.add_argument("--fuel", type=_nat, default=300)
+    p.add_argument("--max-t", type=_nat, default=50)
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("corpus", help="context agreement report for a corpus file")
     p.add_argument("file")
-    p.add_argument("--fuel", type=int, default=10000)
+    p.add_argument("--fuel", type=_nat, default=10000)
     p.add_argument(
         "--j-fuel-ratio",
-        type=int,
+        type=_nat,
         default=20,
         help="fuel multiplier for the substituted J side (default 20)",
     )

@@ -41,7 +41,6 @@ from .machines import (
     i_step,
     j_step,
     run,
-    solvable,
     t_step,
 )
 from .syntax import format_term, parse_term, source_lines
@@ -545,7 +544,7 @@ def _h_times_apps(t: Term) -> int:
 
 
 def _pure_i_terminates(t: Term):
-    out = run(t, Strategy.PURE_I, 0, keep_trace=True)
+    out = run(t, Strategy.IT, 0, keep_trace=True)
     # each I-step removes two nodes and at least one is left
     if out.aux_steps > size(t) // 2:
         return f"{_show(t)}: {out.aux_steps} I-steps from {size(t)} nodes"
@@ -556,7 +555,7 @@ def _pure_i_terminates(t: Term):
 
 
 def _pure_j_terminates(t: Term):
-    out = run(t, Strategy.PURE_J, 0, keep_trace=True)
+    out = run(t, Strategy.JT, 0, keep_trace=True)
     bound = _h_times_apps(t)
     if out.aux_steps > bound:
         return f"{_show(t)}: {out.aux_steps} J-steps, more than h * a = {bound}"
@@ -584,13 +583,13 @@ def _make_application_solvability(fuel: int) -> Callable:
     def check(t: Term):
         if not is_closed(t):
             return _SKIP
-        first = solvable(t, fuel)
+        first = run(t, Strategy.T_HEAD, fuel)
         if not solved(first):
             return _SKIP
         bigger = 2 * fuel + 100
         for value in (I, H):
-            whole = solvable(App(t, value), bigger)
-            via_hnf = solvable(App(first.result, value), bigger)
+            whole = run(App(t, value), Strategy.T_HEAD, bigger)
+            via_hnf = run(App(first.result, value), Strategy.T_HEAD, bigger)
             if solved(whole) != solved(via_hnf):
                 return f"{_show(t)} applied to {_show(value)}"
         return None
@@ -641,7 +640,7 @@ def _make_context_agreement(fuel: int) -> Callable:
 
 
 def _lift_replays(t: Term):
-    out = run(t, Strategy.PURE_J, 0, keep_trace=True)
+    out = run(t, Strategy.JT, 0, keep_trace=True)
     prefix = []
     for entry in out.trace:
         if spine(entry.before)[0]:

@@ -9,14 +9,6 @@ Random generation is a pure function of GenConfig: the same config
 yields bit-identical streams.  ``h_weight`` is the probability that a
 leaf comes out as H rather than a variable; in an empty context every
 leaf is forced to H regardless.
-
-``pair_stream`` produces pairs of terms with equal extraction images.
-Wrapping any subterm S as (H S) never changes the image: in argument or
-body position the erasure applies directly to the wrapper, and in
-operator position the wrapper's H simply becomes the head of the
-surrounding spine and is erased there.  Two independent rounds of
-random wrapping over a common base therefore give a pair that agrees
-after extraction by construction.
 """
 
 from __future__ import annotations
@@ -25,7 +17,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .extraction import extract
+# unused here, but kept as the name the benchmark's tracer patches
+from .extraction import extract  # noqa: F401
 from .terms import Abs, App, H, Term, Var
 
 
@@ -94,7 +87,7 @@ def term_stream(cfg: GenConfig) -> Iterator[Term]:
         yield _random_term(rng, cfg.max_size, cfg.free_vars, cfg.h_weight)
 
 
-# ---------- equal-image pairs ----------
+# ---------- extraction-neutral wrapping ----------
 
 
 def wrap_applied_h(
@@ -134,17 +127,3 @@ def wrap_applied_h(
             new = App(H, new)
         done.append(new)
     return done[0]
-
-
-def pair_stream(cfg: GenConfig, density: float = 0.25) -> Iterator[tuple[Term, Term]]:
-    rng = random.Random(cfg.seed)
-    while True:
-        base = _random_term(rng, cfg.max_size, cfg.free_vars, cfg.h_weight)
-        left = wrap_applied_h(base, rng, density)
-        right = wrap_applied_h(base, rng, density)
-        if extract(left) != extract(right):
-            raise AssertionError(
-                f"pair_stream (seed {cfg.seed}): two wrappings of one base "
-                "extract to different images"
-            )
-        yield left, right

@@ -14,20 +14,19 @@ or consumes it (drop); pure J-reduction also terminates, though not by
 a one-step size argument.  Both step families leave the extraction
 image of the term unchanged.
 
-Strategies:
+Strategies, the paper's three head reductions:
 
     T_HEAD  t-steps only; halts when the head is no longer a redex.
-    PURE_I  I-steps only; halts when the head is no longer an applied H.
-    PURE_J  J-steps only; same halting condition.
     IT      eager I-steps whenever the head is an applied H, otherwise
             one t-step; halts at head normal form.
     JT      same with J-steps.
 
-A strategy is data to ``run``: its value spells whether it takes
-t-steps and which auxiliary family (I, J or none) it applies at an
-applied H, and ``run`` reads both once per call.  Every outcome, Hnf,
-FuelExhausted and Overflow alike, reports the t-steps and the auxiliary
-steps taken.
+Pure I- or J-reduction is IT or JT at fuel 0: the run takes every
+auxiliary step, and stops at head normal form or, with FuelExhausted,
+at the first t-step it would take.  Every strategy takes t-steps, so a strategy is data to
+``run`` only through its auxiliary family (I, J or none), read once per
+call.  Every outcome, Hnf, FuelExhausted and Overflow alike, reports
+the t-steps and the auxiliary steps taken.
 
 ``run`` keeps its state unwound, in the manner of Krivine's machine:
 a binder count, a head term, and the head's arguments on a stack with
@@ -56,9 +55,9 @@ step.  Outcomes, step counts and budgets are the same either way.
 ``fuel`` bounds t-steps only.  Running out of fuel means "unknown", and
 FuelExhausted says nothing about solvability.  I/J-steps need no budget
 of their own: a burst of consecutive auxiliary steps between t-steps
-(for the pure strategies the whole run is one burst) that starts from a
-state of ``size`` nodes takes at most ``size * size // 4`` steps, as the
-comment at the guard in ``run`` proves.  A burst that outruns this bound
+(at fuel 0 the whole run is one burst) that starts from a state of
+``size`` nodes takes at most ``size * size // 4`` steps, as the comment
+at the guard in ``run`` proves.  A burst that outruns this bound
 contradicts the proof, so ``run`` raises AuxCapExceeded, a bug, rather
 than reporting an outcome.
 
@@ -208,12 +207,10 @@ def j_step(t: Term) -> Term:
 
 
 class Strategy(Enum):
-    """A strategy's value spells the step families it takes: ``t`` for
-    t-steps, and ``i`` or ``j`` first for its auxiliary contraction."""
+    """Every strategy takes t-steps; the letter before ``t``, if any,
+    names its auxiliary family."""
 
     T_HEAD = "t"
-    PURE_I = "i"
-    PURE_J = "j"
     IT = "it"
     JT = "jt"
 
@@ -268,20 +265,19 @@ def run(
     """Drive ``t`` with the given strategy.
 
     Returns Hnf when the strategy has no step left to take: a genuine
-    head normal form for IT/JT, a t-irreducible head for T_HEAD, and a
-    head that is no longer an applied H for the pure strategies.
+    head normal form for IT/JT, a t-irreducible head for T_HEAD.
     Returns FuelExhausted after ``fuel`` t-steps with work remaining,
     and Overflow when a burst would start from a state bigger than
     ``max_state`` nodes (default DEFAULT_MAX_STATE); both mean the run
-    is undecided.  The outcome holds ``t`` itself if no step was taken,
-    and with ``keep_trace`` every entry's ``before`` is the previous
-    entry's ``after`` and the outcome holds the last one.  A burst that
-    outruns its proven bound raises AuxCapExceeded.
+    is undecided.  IT or JT at fuel 0 is pure I- or J-reduction: it
+    stops at Hnf or, at a beta redex, with FuelExhausted.  The outcome
+    holds ``t`` itself if no step was taken, and with ``keep_trace``
+    every entry's ``before`` is the previous entry's ``after`` and the
+    outcome holds the last one.  A burst that outruns its proven bound
+    raises AuxCapExceeded.
     """
     trace: list[TraceEntry] | None = [] if keep_trace else None
-    families = strategy.value
-    takes_t = "t" in families
-    aux = families[0] if families[0] != "t" else None
+    aux = strategy.value[:-1] or None
     budget = max_state if max_state is not None else DEFAULT_MAX_STATE
     # the state as a Term while one is at hand: the input, then the last
     # traced state; None once an untraced step has moved past it
@@ -321,7 +317,7 @@ def run(
             aux_steps += n
             aux_since_t += n
             new = _lower(head, n, kind is StepKind.J_WRAP, stack)
-        elif takes_t and head.__class__ is Abs:
+        elif head.__class__ is Abs:
             if t_steps >= fuel:
                 stop = FuelExhausted
                 break
@@ -354,12 +350,6 @@ def run(
         )
     frozen = tuple(trace) if trace is not None else None
     return stop(state, t_steps, trace=frozen, aux_steps=aux_steps)
-
-
-def solvable(t: Term, fuel: int, keep_trace: bool = False) -> MachineOutcome:
-    """Head reduction by t-steps alone; Hnf means solvable, FuelExhausted
-    means unknown (never "unsolvable")."""
-    return run(t, Strategy.T_HEAD, fuel, keep_trace=keep_trace)
 
 
 # ---------- the named combinators ----------

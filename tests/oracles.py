@@ -11,9 +11,12 @@ textbook definition that de Bruijn indices are supposed to implement.
 re-reads the whole state through ``decompose`` before every step and
 rebuilds the whole state after it, so it shares only the outcome types
 and ``substitute`` with the unwound machine it checks.
-``count_h_and_apps`` counts the two kinds of node that bound a burst.
+``count_h_and_apps`` counts the two kinds of node that bound a burst,
+and ``finished_burst`` tells whether a pure run took all of its burst.
 ``recursive_wrap_applied_h`` is the H-wrapper of ``gen`` written by
-recursion, the reference for the order in which it draws its coins.
+recursion, the reference for the order in which it draws its coins, and
+``pair_stream`` wraps each random base twice, giving pairs whose
+extraction images must agree.
 ``recursive_shift``, ``recursive_substitute`` and ``recursive_extract``
 are the term core's walks as they were written before it kept its work
 on explicit stacks: one call per node, the references for the results
@@ -29,7 +32,9 @@ from __future__ import annotations
 import random
 import re
 from functools import lru_cache
+from typing import Iterator
 
+from lambdah.gen import GenConfig, _random_term, wrap_applied_h
 from lambdah.machines import (
     DEFAULT_MAX_STATE,
     AuxCapExceeded,
@@ -219,12 +224,10 @@ def _ref_contract_j(binders: int, args: list[Term]) -> tuple[Term, StepKind]:
     return _rebuild(binders, args[0], wrapped), StepKind.J_WRAP
 
 
-_REF_STEPS = {
-    Strategy.T_HEAD: (None, True),
-    Strategy.PURE_I: (_ref_contract_i, False),
-    Strategy.PURE_J: (_ref_contract_j, False),
-    Strategy.IT: (_ref_contract_i, True),
-    Strategy.JT: (_ref_contract_j, True),
+_REF_AUX = {
+    Strategy.T_HEAD: None,
+    Strategy.IT: _ref_contract_i,
+    Strategy.JT: _ref_contract_j,
 }
 
 
@@ -239,7 +242,7 @@ def reference_run(
     """``machines.run`` by whole-state rewriting: one decomposition per
     step, one rebuilt state after it, one size walk per burst."""
     trace: list[TraceEntry] | None = [] if keep_trace else None
-    contract_aux, takes_t = _REF_STEPS[strategy]
+    contract_aux = _REF_AUX[strategy]
     budget = max_state if max_state is not None else DEFAULT_MAX_STATE
     t_steps = aux_steps = aux_since_t = burst_cap = 0
 
@@ -267,7 +270,7 @@ def reference_run(
             if trace is not None:
                 trace.append(TraceEntry(kind, before, t, t_steps))
             continue
-        if takes_t and isinstance(base, Abs):
+        if isinstance(base, Abs):
             if t_steps >= fuel:
                 return FuelExhausted(t, t_steps, frozen(), aux_steps)
             before = t
@@ -298,6 +301,15 @@ def count_h_and_apps(t: Term) -> tuple[int, int]:
     return h, a
 
 
+def finished_burst(out: MachineOutcome) -> bool:
+    """Whether a pure I or J run, IT or JT at fuel 0, took its whole
+    burst: it did not overflow, and no applied H is left at the head.
+    It ends with Hnf, or with FuelExhausted at a beta redex."""
+    final = out.result if isinstance(out, Hnf) else out.last
+    _, base, args = decompose(final)
+    return not isinstance(out, Overflow) and not (isinstance(base, ConstH) and args)
+
+
 def recursive_wrap_applied_h(
     t: Term, rng: random.Random, density: float = 0.25, protect_head: bool = False
 ) -> Term:
@@ -317,6 +329,18 @@ def recursive_wrap_applied_h(
         return new
 
     return go(t, protect_head)
+
+
+def pair_stream(cfg: GenConfig, density: float = 0.25) -> Iterator[tuple[Term, Term]]:
+    """Two independent wrappings of each seeded random base.  Wrapping S
+    as (H S) never changes the image: in argument or body position the
+    erasure applies to the wrapper itself, and in operator position the
+    wrapper's H becomes the head of the surrounding spine and is erased
+    there.  So each pair agrees after extraction by construction."""
+    rng = random.Random(cfg.seed)
+    while True:
+        base = _random_term(rng, cfg.max_size, cfg.free_vars, cfg.h_weight)
+        yield wrap_applied_h(base, rng, density), wrap_applied_h(base, rng, density)
 
 
 # ---------- recursive references for the term core ----------

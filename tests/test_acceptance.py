@@ -56,6 +56,7 @@ from oracles import (
     application_spine,
     count_h_and_apps,
     count_terms,
+    finished_burst,
     oracle_substitute,
 )
 
@@ -138,15 +139,16 @@ def test_single_aux_steps_preserve_the_image(corpus):
 def test_pure_strategies_terminate_within_their_caps(corpus):
     i_steps = j_steps = 0
     for t in corpus:
-        # each I-step removes exactly two nodes, so at most size // 2 of them
-        out = run(t, Strategy.PURE_I, 0, keep_trace=True)
-        assert isinstance(out, Hnf) and out.aux_steps <= size(t) // 2, format_term(t)
+        # the pure I and J runs are IT and JT at fuel 0; each I-step
+        # removes exactly two nodes, so at most size // 2 of them
+        out = run(t, Strategy.IT, 0, keep_trace=True)
+        assert finished_burst(out) and out.aux_steps <= size(t) // 2, format_term(t)
         for entry in out.trace:
             assert size(entry.after) == size(entry.before) - 2, format_term(t)
         i_steps += out.aux_steps
         h, a = count_h_and_apps(t)
-        out = run(t, Strategy.PURE_J, 0)
-        assert isinstance(out, Hnf) and out.aux_steps <= h * a, format_term(t)
+        out = run(t, Strategy.JT, 0)
+        assert finished_burst(out) and out.aux_steps <= h * a, format_term(t)
         j_steps += out.aux_steps
     print(
         f"PASS termination: {len(corpus)} terms, {i_steps} I-steps all shrinking, "

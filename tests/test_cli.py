@@ -291,6 +291,30 @@ def test_usage_errors_exit_2(capsys):
     assert main(["reduce", "x", "--strategy", "bogus"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "x", "--fuel", "-1"],
+        ["reduce", "x", "--fuel", "ten"],
+        ["solvable", "x", "--fuel", "-1"],
+        ["lockstep", "x", "--max-t", "-1"],
+        # a false counterexample and exit status 1 before the check
+        ["check", "--max-size", "1", "--count", "0", "--fuel", "-1"],
+        ["check", "--max-size", "-1"],
+        ["check", "--count", "-5"],
+        ["check", "--random-size", "-1"],
+        ["check", "--max-t", "-1"],
+        ["corpus", "contexts.txt", "--fuel", "-1"],
+        ["corpus", "contexts.txt", "--j-fuel-ratio", "-1"],
+    ],
+)
+def test_budgets_and_counts_take_only_non_negative_integers(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invalid non-negative int value: '{argv[-1]}'" in captured.err
+
+
 def test_broken_pipe_is_not_an_error(monkeypatch):
     def raiser(args):
         raise BrokenPipeError

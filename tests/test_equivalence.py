@@ -48,7 +48,7 @@ def term(text, frees=None):
 
 
 def j_trace(text, frees=None):
-    out = run(term(text, frees), Strategy.PURE_J, 0, keep_trace=True)
+    out = run(term(text, frees), Strategy.JT, 0, keep_trace=True)
     assert isinstance(out, Hnf)
     return out.trace
 
@@ -293,7 +293,7 @@ def test_read_corpus_resolves_named_constants(tmp_path):
 
 def test_replay_accepts_machine_traces():
     for t in enumerate_terms(6, free_vars=1):
-        out = run(t, Strategy.PURE_J, 0, keep_trace=True)
+        out = run(t, Strategy.JT, 0, keep_trace=True)
         replay_j_trace(out.trace)  # must not raise
 
 

@@ -12,9 +12,10 @@ from lambdah.extraction import (
     extract,
     has_applied_h,
 )
-from lambdah.gen import GenConfig, enumerate_terms, pair_stream, wrap_applied_h
+from lambdah.gen import GenConfig, enumerate_terms, wrap_applied_h
 from lambdah.syntax import format_term, parse_term
 from lambdah.terms import Abs, App, H, Var, substitute
+from oracles import pair_stream
 
 
 def term(text, frees=None):

@@ -31,7 +31,6 @@ from lambdah.machines import (
     i_step,
     j_step,
     run,
-    solvable,
     t_step,
     trace_json,
 )
@@ -46,7 +45,7 @@ from lambdah.terms import (
     size,
     spine,
 )
-from oracles import count_h_and_apps, reference_run
+from oracles import count_h_and_apps, finished_burst, reference_run
 
 
 def term(text, frees=None):
@@ -162,19 +161,20 @@ def test_run_fuel_exhaustion_reports_unknown_not_unsolvable():
 
 
 def test_run_pure_strategies_stop_when_head_is_not_applied_h():
-    out = run(term("H x ((\\y.y) z)"), Strategy.PURE_I, 0)
+    # the pure I and J runs are IT and JT at fuel 0
+    out = run(term("H x ((\\y.y) z)"), Strategy.IT, 0)
     assert isinstance(out, Hnf)
     assert format_term(out.result, ("x", "z")) == "x ((\\y.y) z)"
-    # pure strategies do not take the waiting t-step
-    out = run(term("(\\x.x) (H y)"), Strategy.PURE_J, 0)
-    assert out.aux_steps == 0
+    # a pure run does not take the waiting t-step: it is out of fuel
+    t = term("(\\x.x) (H y)")
+    assert run(t, Strategy.JT, 0) == FuelExhausted(t, 0, None, 0)
 
 
 def test_run_pure_j_terminates_within_h_times_a():
     for t in enumerate_terms(6, free_vars=1):
         h, a = count_h_and_apps(t)
-        out = run(t, Strategy.PURE_J, 0)
-        assert isinstance(out, Hnf) and out.aux_steps <= h * a, t
+        out = run(t, Strategy.JT, 0)
+        assert finished_burst(out) and out.aux_steps <= h * a, t
 
 
 # H H .. H w with n Hs: the head H wraps the n - 1 others in turn, so
@@ -184,13 +184,14 @@ H_100_W = "H " * 100 + "w"
 
 def test_a_long_j_burst_is_legal():
     t = term(H_100_W)
-    for strategy in (Strategy.PURE_J, Strategy.JT):
-        assert run(t, strategy, 0) == Hnf(Var(0), 0, 5050)
+    for fuel in (0, 1):
+        assert run(t, Strategy.JT, fuel) == Hnf(Var(0), 0, 5050)
 
 
-@pytest.mark.parametrize("strategy", ["j", "jt"])
-def test_a_long_j_burst_is_legal_on_the_command_line(capsys, strategy):
-    assert main(["reduce", H_100_W, "--strategy", strategy]) == 0
+# the pure J run is jt at fuel 0
+@pytest.mark.parametrize("fuel", [["--fuel", "0"], []], ids=["j", "jt"])
+def test_a_long_j_burst_is_legal_on_the_command_line(capsys, fuel):
+    assert main(["reduce", H_100_W, "--strategy", "jt", *fuel]) == 0
     assert capsys.readouterr().out == "hnf (t_steps=0, aux_steps=5050)\nw\n"
 
 
@@ -226,10 +227,10 @@ wide_h_terms = st.recursive(
 @given(st.one_of(deep_h_terms(), wide_h_terms))
 def test_pure_bursts_stay_within_their_proven_bounds(t):
     h, a = count_h_and_apps(t)
-    out = run(t, Strategy.PURE_J, 0)
-    assert isinstance(out, Hnf) and out.aux_steps <= h * a
-    out = run(t, Strategy.PURE_I, 0)
-    assert isinstance(out, Hnf) and out.aux_steps <= h
+    out = run(t, Strategy.JT, 0)
+    assert finished_burst(out) and out.aux_steps <= h * a
+    out = run(t, Strategy.IT, 0)
+    assert finished_burst(out) and out.aux_steps <= h
 
 
 def test_a_burst_that_outruns_its_bound_raises(monkeypatch):
@@ -239,10 +240,10 @@ def test_a_burst_that_outruns_its_bound_raises(monkeypatch):
     for text in ("H x", "H x y", "\\z.H H z"):
         t = term(text)
         cap = size(t) ** 2 // 4
-        for strategy in (Strategy.PURE_I, Strategy.PURE_J, Strategy.IT, Strategy.JT):
+        for strategy, fuel in product((Strategy.IT, Strategy.JT), (0, 1)):
             message = rf"^{cap} consecutive [ij]-steps \(cap {cap}\) from "
             with pytest.raises(AuxCapExceeded, match=message):
-                run(t, strategy, 1)
+                run(t, strategy, fuel)
 
 
 def test_run_is_deterministic():
@@ -295,7 +296,7 @@ def test_every_outcome_reports_its_aux_steps():
 
     kinds = set()
     for t in enumerate_terms(6, free_vars=2):
-        for strategy in (Strategy.PURE_I, Strategy.PURE_J, Strategy.IT, Strategy.JT):
+        for strategy in (Strategy.IT, Strategy.JT):
             for fuel in (0, 1, 3):
                 for max_state in (None, 8):
                     out = run(t, strategy, fuel, keep_trace=True, max_state=max_state)
@@ -343,7 +344,7 @@ def test_over_budget_input_overflows_before_any_step():
     tower = H
     for _ in range(20):
         tower = App(H, tower)
-    assert run(tower, Strategy.PURE_J, 0, max_state=10) == Overflow(tower, 0, None)
+    assert run(tower, Strategy.JT, 0, max_state=10) == Overflow(tower, 0, None)
 
 
 def test_t_only_reduction_ignores_the_state_budget():
@@ -395,9 +396,9 @@ def test_the_state_budget_counts_every_node_of_the_unwound_state():
     # is over the budget
     overflows = 0
     for t in enumerate_terms(6, free_vars=2):
-        for strategy in (Strategy.PURE_I, Strategy.PURE_J, Strategy.IT, Strategy.JT):
+        for strategy, fuel in product((Strategy.IT, Strategy.JT), (0, 3)):
             for max_state in (size(t) - 1, size(t)):
-                args = (t, strategy, 3)
+                args = (t, strategy, fuel)
                 text = outcome_text(run, *args, max_state=max_state)
                 assert text == outcome_text(reference_run, *args, max_state=max_state)
                 overflows += text.startswith("Overflow")
@@ -477,10 +478,15 @@ def test_an_outcome_without_a_step_holds_the_input_itself():
 
 
 def test_single_steps_match_the_reference_driver():
-    steps = {Strategy.T_HEAD: t_step, Strategy.PURE_I: i_step, Strategy.PURE_J: j_step}
+    # at fuel 0, IT and JT take auxiliary steps only
+    steps = {
+        Strategy.T_HEAD: (1, t_step),
+        Strategy.IT: (0, i_step),
+        Strategy.JT: (0, j_step),
+    }
     for t in enumerate_terms(6, free_vars=2):
-        for strategy, step in steps.items():
-            first = reference_run(t, strategy, 1, keep_trace=True).trace
+        for strategy, (fuel, step) in steps.items():
+            first = reference_run(t, strategy, fuel, keep_trace=True).trace
             if first:
                 assert step(t) == first[0].after, (t, strategy)
 
@@ -495,7 +501,7 @@ def test_an_i_burst_over_a_long_spine():
     # H H .. H x with 20,000 arguments: every i-step drops one, and the
     # machine never rebuilds the spine it has not reached
     t = apply_args(H, [H] * 19999 + [Var(0)])
-    assert run(t, Strategy.PURE_I, 0, max_state=10**6) == Hnf(Var(0), 0, 20000)
+    assert run(t, Strategy.IT, 0, max_state=10**6) == Hnf(Var(0), 0, 20000)
 
 
 def test_a_j_wrap_burst_over_a_long_spine():
@@ -503,7 +509,7 @@ def test_a_j_wrap_burst_over_a_long_spine():
     # a2, each on a spine of 20,000 arguments, to reach y (H^n a2) a3 .. an
     n = 20000
     rest = [Var(2 + k % 3) for k in range(n - 1)]
-    out = run(apply_args(h_tower(n, Var(0)), rest), Strategy.PURE_J, 0, max_state=10**6)
+    out = run(apply_args(h_tower(n, Var(0)), rest), Strategy.JT, 0, max_state=10**6)
     assert isinstance(out, Hnf) and out.aux_steps == n
     _, head, args = spine(out.result)
     assert head == Var(0)
@@ -518,17 +524,17 @@ def test_a_j_wrap_burst_over_a_long_spine():
 
 
 def test_solvable_identity():
-    out = solvable(term("\\x.x"), 10)
+    out = run(term("\\x.x"), Strategy.T_HEAD, 10)
     assert isinstance(out, Hnf)
 
 
 def test_solvable_omega_is_unknown():
-    assert isinstance(solvable(OMEGA, 500), FuelExhausted)
+    assert isinstance(run(OMEGA, Strategy.T_HEAD, 500), FuelExhausted)
 
 
 def test_solvable_identity_applied_to_omega_is_unknown():
     # head reduction unfolds the argument forever
-    assert isinstance(solvable(App(I, OMEGA), 500), FuelExhausted)
+    assert isinstance(run(App(I, OMEGA), Strategy.T_HEAD, 500), FuelExhausted)
 
 
 # ---------- the named combinators ----------
