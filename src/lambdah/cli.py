@@ -28,7 +28,6 @@ from .equivalence import (
     BothRunning,
     Diverged,
     EMismatch,
-    InvalidTrace,
     agreement_row_json,
     agreement_summary_json,
     agreement_tally,
@@ -38,7 +37,7 @@ from .equivalence import (
     theorem_check,
     verdict_word,
 )
-from .extraction import ShapeViolation, extract
+from .extraction import extract
 from .gen import GenConfig, enumerate_terms, term_stream
 from .machines import (
     BUILTINS,
@@ -147,18 +146,19 @@ def _cmd_lockstep(args) -> int:
             )
     match report.verdict:
         case BothHnf():
-            word, code = "both-hnf", 0
+            key, word, code = "both-hnf", "both-hnf", 0
         case BothRunning():
-            word, code = "both-running", 0
+            key, word, code = "both-running", "both-running", 0
         case Diverged(step):
-            word, code = f"diverged (one side halted at t-step {step})", 1
+            key, code = "diverged", 1
+            word = f"diverged (one side halted at t-step {step})"
         case EMismatch(step):
-            word, code = f"image mismatch at t-step {step}", 1
+            key, word, code = "image-mismatch", f"image mismatch at t-step {step}", 1
     if args.json:
         print(
             json.dumps(
                 {
-                    "verdict": word.split(" ")[0],
+                    "verdict": key,
                     "t_steps_I": report.t_steps_i,
                     "t_steps_J": report.t_steps_j,
                 }
@@ -312,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, UnboundVariable, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ShapeViolation, AuxCapExceeded, InvalidTrace) as exc:
+    except AuxCapExceeded as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 1
 

@@ -27,19 +27,16 @@ so the depth of a term is bounded by memory, not by the recursion limit.
 
 Both directions also know the H-tower ``H (H (.. (H M)))``, the shape
 that the J reading of H builds and a JT trace prints over and over.
-The tokenizer reads a maximal run of "H (" openers as one token, and a
-maximal run of ")" closers as another, whatever whitespace and comments
-stand between their pieces.  The parser pushes a run of n openers as
-two frames: the first opener, which applies the application to its
-left to H (so "f H (x)" still reads "(f H) x"), and a count for the
-other n - 1, each of whose left is H.  A run of closers that ends such
-a count builds one ``Tower`` node for all its levels, and the printer
-emits a tower's "(H " openers and its ")" closers as one string each.
+The tokenizer reads a run of "H (" openers or of ")" closers, spelt as
+the printer writes them, back to back, as one token.  The parser pushes
+a run of n openers as two frames: the first opener, which applies the
+application to its left to H (so "f H (x)" still reads "(f H) x"), and
+a count for the other n - 1, each of whose left is H.  A run of closers
+that ends such a count builds one ``Tower`` node for all its levels,
+and the printer emits a tower's "(H " openers and its ")" closers as
+one string each.  Any other spelling reads as single "H", "(" and ")"
+tokens, which build the same tower, because ``App(H, x)`` is one.
 Errors still point at the piece of a run where the parse fails.
-The tokenizer reads the printer's own spelling of a run, "H (" or ")"
-pieces back to back, as plain literals, and any other spelling through
-the general pattern with its gaps; both read the same tokens, so a
-printed trace is tokenized at the speed of a literal match.
 """
 
 from __future__ import annotations
@@ -77,42 +74,21 @@ def source_lines(lines: Iterable[str]) -> Iterator[str]:
 
 # ---------- tokenizer ----------
 
-# Whitespace and comments.  A comment runs to the end of its line: the
-# lookahead keeps it from stopping sooner, so a gap splits into skips in
-# exactly one way and a match that fails after one backtracks through
-# it in linear time.  The plain (?:[ \t\r\n]+|#[^\n]*)* is exponential
-# in the length of the gap there, and Python 3.10 has no atomic groups.
+# Whitespace and comments.  A comment runs to the end of its line, and
+# the lookahead says so, so a gap splits into skips in exactly one way.
+# Every match starts with a maximal skip, after which some token always
+# matches, so the skip never backtracks.  The plain
+# (?:[ \t\r\n]+|#[^\n]*)* would match the same, but it takes two to five
+# times as long over a gap full of comments.
 _SKIP = r"[ \t\r\n]*(?:#[^\n]*(?![^\n])[ \t\r\n]*)*"
 
-# Each match skips a gap, then captures one token: a maximal run of
-# "H (" openers, a maximal run of ")" closers (a run keeps the gaps
-# inside it), a lambda or other punctuation mark, a word (letters and
-# digits, the class of str.isalnum), any other single character, or the
-# empty string once, at the end of the text.  Whatever follows a maximal
-# skip is a token, so the leading skip never backtracks.
-#
-# After its first piece, a run tries the printer's own spelling first:
-# "H (" or ")" pieces back to back, matched as plain literals.  Only a
-# piece spelt otherwise goes through the general gap pattern.  The
-# match is the same: a literal "H (" is the general piece with an empty
-# gap before the H and one space after it, and a literal ")" the general
-# closer with an empty gap, so the greedy loop extends a run exactly
-# where it would without them.  It stays linear: nothing in the pattern
-# follows a run, so once a run's first piece has matched, the match
-# succeeds wherever the loop stops and nothing backtracks into the run,
-# and a general piece that fails, first in the run or later, backtracks
-# through its gap in linear time as before.  The literals spare a
-# printed tower three gap patterns per level and most of the state the
-# engine keeps for each: one 1,000,000-high tower tokenizes in a tenth
-# of the time and a fifth of the memory.
-_TOKEN = re.compile(
-    _SKIP
-    + rf"(H{_SKIP}\((?:(?:H \()+|{_SKIP}H{_SKIP}\()*|\)(?:\)+|{_SKIP}\))*"
-    + r"|[\\λ.(]|[^\W_]+|[^ \t\r\n#]|\Z)"
-)
-
-# the pieces of a run, one match each: "H", "(" or ")"
-_PIECE = re.compile(_SKIP + r"([H()])")
+# Each match skips a gap, then captures one token: a run of "H (" openers
+# or of ")" closers as the printer spells them, pieces back to back and
+# matched as plain literals, a lambda or other punctuation mark, a word
+# (letters and digits, the class of str.isalnum), any other single
+# character, or the empty string once, at the end of the text.  A run
+# holds len(token) // 3 openers or len(token) closers.
+_TOKEN = re.compile(_SKIP + r"((?:H \()+|\)+|[\\λ.(]|[^\W_]+|[^ \t\r\n#]|\Z)")
 
 # Token kinds.  The first five are the tokens an atom can start with.
 _IDENT, _CONSTH, _UPPER, _HRUN, _LPAREN, _LAMBDA, _DOT, _RPAREN, _EOF, _BAD = range(10)
@@ -134,25 +110,16 @@ def _word_kind(word: str) -> int:
     return _IDENT if c.islower() else _UPPER
 
 
-def _run_length(run: str) -> int:
-    """The number of openers or closers in a run token."""
-    paren = run[-1]
-    if "#" in run:  # a comment inside may hold parentheses of its own
-        return _PIECE.findall(run).count(paren)
-    return run.count(paren)
-
-
 def _error(text: str, index: int, message: str, piece: int = 0) -> ParseError:
     """A ParseError located at token ``index`` of ``text``, or at its
-    ``piece``-th piece if the token is a run.
+    ``piece``-th piece if the token is a run of closers, one character
+    each.
 
     Positions are recovered only here, by scanning again.  Columns count
     characters from 1; the end of input sits where a comment on the last
     line begins, if there is one.
     """
-    start = next(islice(_TOKEN.finditer(text), index, None)).start(1)
-    if piece:
-        start = next(islice(_PIECE.finditer(text, start), piece, None)).start(1)
+    start = next(islice(_TOKEN.finditer(text), index, None)).start(1) + piece
     line_start = text.rfind("\n", 0, start) + 1
     if start == len(text):
         comment = text.find("#", line_start)
@@ -197,15 +164,12 @@ def parse_term(
 
     tokens = _TOKEN.findall(text)
     kinds = dict(_PUNCTUATION)
-    runs: dict[str, int] = {}  # run token -> its number of openers or closers
     for word in set(tokens).difference(kinds):
         last = word[-1]
         if last == "(":
             kinds[word] = _HRUN
-            runs[word] = _run_length(word)
         elif last == ")":
             kinds[word] = _RPAREN
-            runs[word] = _run_length(word)
         else:
             kinds[word] = _word_kind(word)
     ks = list(map(kinds.__getitem__, tokens))
@@ -276,7 +240,7 @@ def parse_term(
                 # the first opener applies the application so far to H,
                 # as "f H (x)" reads "(f H) x"; the rest are one frame
                 frames.append(H if acc is None else App(acc, H))
-                n = runs[tokens[pos]]
+                n = len(tokens[pos]) // 3
                 if n > 1:
                     frames.append(n - 1)
                 pos += 1
@@ -304,7 +268,7 @@ def parse_term(
                         text, pos, "abstraction in argument position must be parenthesised"
                     )
                 t = acc
-                closers = runs[tokens[pos]] if k == _RPAREN else 0
+                closers = len(tokens[pos]) if k == _RPAREN else 0
                 closed = 0
                 while True:
                     left = frames.pop()

@@ -21,10 +21,11 @@ extraction images must agree.
 are the term core's walks as they were written before it kept its work
 on explicit stacks: one call per node, the references for the results
 and the identity returns of the iterative walks.  ``REFERENCE_TOKEN``
-is the tokenizer's pattern as it was before it read the printer's
-spelling of an H-tower as literals, every piece of a run through the
-general gap pattern: the reference for the tokens the faster pattern
-must find.
+is the tokenizer's pattern as it was when a run of H-tower pieces could
+hold gaps and comments, and ``REFERENCE_PIECE`` splits such a run into
+its "H", "(" and ")" pieces.  Split that way, its tokens and their
+offsets are the reference for the tokenizer, which reads a run only in
+the printer's spelling.
 """
 
 from __future__ import annotations
@@ -409,3 +410,5 @@ REFERENCE_TOKEN = re.compile(
     + rf"(H{_SKIP}\((?:{_SKIP}H{_SKIP}\()*|\)(?:{_SKIP}\))*"
     + r"|[\\λ.(]|[^\W_]+|[^ \t\r\n#]|\Z)"
 )
+# the pieces of a run, one match each: "H", "(" or ")"
+REFERENCE_PIECE = re.compile(_SKIP + r"([H()])")

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from lambdah.cli import entry, main
-from lambdah.equivalence import Diverged, EMismatch, LockstepReport
+from lambdah.equivalence import BothHnf, BothRunning, Diverged, EMismatch, LockstepReport
 from lambdah.syntax import format_term, parse_term
 
 
@@ -126,6 +126,25 @@ def test_lockstep_exit_code_on_a_bad_verdict(capsys, monkeypatch):
     monkeypatch.setattr("lambdah.cli.lockstep", fake_diverged)
     assert main(["lockstep", "H x"]) == 1
     assert "diverged" in capsys.readouterr().out
+
+
+def test_lockstep_json_names_every_verdict(capsys, monkeypatch):
+    # one JSON word per verdict, whatever the text line says after it
+    cases = [
+        (BothHnf(), "both-hnf", 0),
+        (BothRunning(), "both-running", 0),
+        (Diverged(2), "diverged", 1),
+        (EMismatch(0), "image-mismatch", 1),
+    ]
+    for verdict, word, code in cases:
+        monkeypatch.setattr(
+            "lambdah.cli.lockstep",
+            lambda term, max_t: LockstepReport(term, (), verdict, 3, 2, 0, 0),
+        )
+        assert main(["lockstep", "H x", "--json"]) == code
+        assert lines(capsys) == [
+            json.dumps({"verdict": word, "t_steps_I": 3, "t_steps_J": 2})
+        ]
 
 
 # ---------- fmt ----------

@@ -21,7 +21,7 @@ from lambdah.syntax import (
     source_lines,
 )
 from lambdah.terms import Abs, App, H, Tower, Var
-from oracles import REFERENCE_TOKEN
+from oracles import REFERENCE_PIECE, REFERENCE_TOKEN
 
 
 # ---------- parsing ----------
@@ -205,18 +205,32 @@ _TOKEN_PIECES = (
 )
 
 
+def _pieces(pattern: re.Pattern, text: str) -> list[tuple[str, int]]:
+    """The tokens ``pattern`` finds in ``text`` with their offsets, each
+    run split into its "H", "(" and ")" pieces."""
+    pieces = []
+    for m in pattern.finditer(text):
+        token, start = m.group(1), m.start(1)
+        if token[-1:] in ("(", ")"):
+            for p in REFERENCE_PIECE.finditer(text, start, m.end(1)):
+                pieces.append((p.group(1), p.start(1)))
+        else:
+            pieces.append((token, start))
+    return pieces
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.lists(st.sampled_from(_TOKEN_PIECES), max_size=40))
-def test_tokens_match_the_reference_pattern(pieces):
-    # the literal path for the printer's spelling finds the same tokens
-    # as the pattern that reads every piece of a run through the gap
+def test_token_pieces_match_the_reference_pattern(pieces):
+    # a run in any spelling other than the printer's reads as single
+    # pieces, at the offsets where the pattern with gaps inside runs
+    # finds them
     text = "".join(pieces)
-    assert syntax._TOKEN.findall(text) == REFERENCE_TOKEN.findall(text)
+    assert _pieces(syntax._TOKEN, text) == _pieces(REFERENCE_TOKEN, text)
 
 
 def test_a_run_of_printed_openers_then_a_long_gap_tokenizes_in_linear_time():
-    # the literal openers stop at the gap, and the general piece that
-    # then tries it backtracks through it once
+    # the literal openers stop at the gap, and the next match skips it
     n = 10_000
     text = "H (" * n + " " * n + "x" + ")" * n
     start = time.perf_counter()
@@ -227,11 +241,9 @@ def test_a_run_of_printed_openers_then_a_long_gap_tokenizes_in_linear_time():
     assert (t, names) == (Tower(n, Var(0)), ("x",))
 
 
-def test_a_run_that_mixes_spellings_is_one_token():
+def test_a_run_that_mixes_spellings_builds_one_tower():
     openers = "H (H(H (\nH (# a comment ( H (\nH  (H\n("
     closers = "))\n) # a comment )\n)) )"
-    tokens = syntax._TOKEN.findall(openers + "x" + closers)
-    assert tokens == [openers, "x", closers, ""]
     assert parse_term(openers + "x" + closers)[0] == Tower(6, Var(0))
 
 
@@ -385,3 +397,24 @@ def test_a_tower_a_million_high_round_trips_quickly():
     t, names = parse_term(text)
     assert time.perf_counter() - start < 2
     assert (t, names) == (tower, ("x",))
+
+
+@pytest.mark.parametrize(
+    "opener, closer",
+    [
+        pytest.param("H(", ")", id="no-space"),
+        pytest.param("H (", " )", id="spaced-closers"),
+        pytest.param("H\n(", ")", id="newline"),
+    ],
+)
+def test_a_tower_in_another_spelling_parses_to_one_tower(
+    opener, closer, default_recursion_limit
+):
+    # read as single "H", "(" and ")" tokens, it builds the same tower
+    # as the printer's spelling, and prints in that spelling
+    n = DEPTH
+    start = time.perf_counter()
+    t, names = parse_term(opener * n + "x" + closer * n)
+    assert time.perf_counter() - start < 2
+    assert (t, names) == (Tower(n, Var(0)), ("x",))
+    assert format_term(t, names) == "H " + "(H " * (n - 1) + "x" + ")" * (n - 1)
