@@ -60,10 +60,13 @@ def _read_term(text: str):
 
 def _cmd_fmt(args) -> int:
     source = sys.stdin if args.file == "-" else open(args.file, encoding="utf-8")
-    with source:
+    try:
         for line in source_lines(source):
             term, names = _read_term(line)
             print(format_term(term, names))
+    finally:
+        if source is not sys.stdin:  # the caller's stdin stays open
+            source.close()
     return 0
 
 
@@ -174,8 +177,17 @@ def _cmd_check(args) -> int:
     cfg = GenConfig(seed=args.seed, max_size=args.random_size, free_vars=2)
     corpus.extend(islice(term_stream(cfg), args.count))
     groups = None if args.suite == "all" else [args.suite]
+    try:
+        jobs = len(os.sched_getaffinity(0))  # what `taskset` allows
+    except AttributeError:  # no affinity call on this platform
+        jobs = os.cpu_count() or 1
     report = lemma_suite(
-        corpus, seed=args.seed, fuel=args.fuel, max_t=args.max_t, groups=groups
+        corpus,
+        seed=args.seed,
+        fuel=args.fuel,
+        max_t=args.max_t,
+        groups=groups,
+        jobs=jobs,
     )
     name_width = max(len(r.name) for r in report.results)
     print(f"{'check':{name_width}}  checked  skipped  failed")

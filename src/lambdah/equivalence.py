@@ -22,10 +22,10 @@ normal form while the other provably cannot (which should never occur).
 from __future__ import annotations
 
 import json
+import os
 import random
 from dataclasses import dataclass, field
-from os import PathLike
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import BinaryIO, Callable, Iterable, Mapping, Sequence
 
 from .extraction import ShapeViolation, classify, extract, has_applied_h
 from .gen import wrap_applied_h
@@ -292,7 +292,7 @@ class CorpusEntry:
 
 
 def read_corpus(
-    path: str | PathLike, constants: Mapping[str, Term] | None = None
+    path: str | os.PathLike, constants: Mapping[str, Term] | None = None
 ) -> list[CorpusEntry]:
     """One context per line; '#' starts a comment; blank lines ignored.
     ``constants`` maps uppercase words to closed terms, as in parse_term."""
@@ -655,6 +655,92 @@ def _lift_replays(t: Term):
     return None
 
 
+# Task ids are written to one pipe before any process reads them, so
+# all of them must fit in its buffer; 4,096 bytes is the least a Linux
+# pipe holds.  16 checks in 128 blocks make 1,793 ids, 3,586 bytes.
+_MAX_BLOCKS = 128
+
+
+def _tally(fn: Callable, terms: Sequence[Term]) -> tuple[int, int, int, list[str]]:
+    """Checked, skipped and failed counts of one check over ``terms``,
+    with the first four failures."""
+    checked = skipped = failed = 0
+    failures: list[str] = []
+    for t in terms:
+        try:
+            outcome = fn(t)
+        except Exception as exc:  # a violation surfacing as an error
+            outcome = f"{_show(t)}: {type(exc).__name__}: {exc}"
+        if outcome is _SKIP:
+            skipped += 1
+            continue
+        checked += 1
+        if outcome is not None:
+            failed += 1
+            if len(failures) < 4:
+                failures.append(outcome)
+    return checked, skipped, failed, failures
+
+
+def _run_tasks(count: int, run_task: Callable[[int], list], jobs: int) -> list[list]:
+    """``[run_task(i) for i in range(count)]``, shared by up to ``jobs``
+    processes: the caller and forked children.
+
+    Every process reads task ids from one pipe until it is empty, which
+    balances the load without guessing costs.  A child sends its results
+    back with ``marshal`` (so they must be plain data) and ends with
+    ``os._exit``.  A task whose result does not come back, because a
+    child died or could not be forked, is run by the caller; where
+    ``os.fork`` is missing the caller runs them all.  No child outlives
+    the call.
+    """
+    import marshal
+    import signal
+
+    queue, queue_w = os.pipe()
+    os.write(queue_w, b"".join(i.to_bytes(2, "little") for i in range(count)))
+    os.close(queue_w)
+
+    def drain() -> dict[int, list]:
+        mine = {}
+        while ident := os.read(queue, 2):
+            i = int.from_bytes(ident, "little")
+            mine[i] = run_task(i)
+        return mine
+
+    children: list[tuple[int, BinaryIO]] = []
+    try:
+        for _ in range(min(jobs, count) - 1 if hasattr(os, "fork") else 0):
+            back, back_w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(back)
+                os.close(back_w)
+                break
+            if pid == 0:
+                try:
+                    with open(back_w, "wb") as out:
+                        marshal.dump(drain(), out)
+                finally:
+                    os._exit(0)
+            os.close(back_w)
+            children.append((pid, open(back, "rb")))
+        done = drain()
+        for _, back_r in children:
+            try:
+                done.update(marshal.loads(back_r.read()))
+            except (EOFError, ValueError):  # the child died before it wrote them all
+                pass
+        return [done[i] if i in done else run_task(i) for i in range(count)]
+    finally:
+        os.close(queue)
+        for pid, back_r in children:
+            back_r.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def lemma_suite(
     corpus: Iterable[Term],
     *,
@@ -662,49 +748,69 @@ def lemma_suite(
     fuel: int = 300,
     max_t: int = 50,
     groups: Sequence[str] | None = None,
+    jobs: int = 1,
 ) -> SuiteReport:
     """Evaluate every extraction, step, and equivalence invariant over a
     corpus.  A raised violation (shape, cap, replay) is recorded as a
     failure on the offending term rather than aborting the sweep.
+
+    ``jobs`` processes share the work, and the report is the same for
+    every ``jobs``: counts, failures and their order.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
     terms = list(corpus)
     wanted = set(groups) if groups else {"extraction", "machines", "equivalence"}
     rng = random.Random(seed)
+    pair_congruence = _make_pair_congruence(rng)
+    paired_t_step = _make_paired_t_step(rng)
     checks: list[tuple[str, str, Callable]] = [
         ("extract_idempotent", "extraction", _extract_idempotent),
         ("extract_application_collapse", "extraction", _extract_collapse),
         ("extract_commutes_with_substitution", "extraction", _extract_substitution),
-        ("extract_pair_congruence", "extraction", _make_pair_congruence(rng)),
+        ("extract_pair_congruence", "extraction", pair_congruence),
         ("extract_image_shape", "extraction", _extract_shape),
         ("extract_no_applied_h", "extraction", _extract_no_applied_h),
         ("i_step_shrinks_and_preserves_image", "machines", _i_step_invariant),
         ("j_step_preserves_image", "machines", _j_step_invariant),
         ("pure_i_terminates", "machines", _pure_i_terminates),
         ("pure_j_terminates", "machines", _pure_j_terminates),
-        ("paired_t_steps_preserve_image", "machines", _make_paired_t_step(rng)),
+        ("paired_t_steps_preserve_image", "machines", paired_t_step),
         ("application_solvability", "machines", _make_application_solvability(fuel)),
         ("machine_determinism", "machines", _make_determinism(fuel)),
         ("lockstep_images_agree", "equivalence", _make_lockstep(max_t)),
         ("context_agreement", "equivalence", _make_context_agreement(fuel)),
         ("lifted_j_traces_replay", "equivalence", _lift_replays),
     ]
-    results: list[CheckResult] = []
-    for name, group, fn in checks:
-        if group not in wanted:
-            continue
-        result = CheckResult(name, group)
-        for t in terms:
-            try:
-                outcome = fn(t)
-            except Exception as exc:  # a violation surfacing as an error
-                outcome = f"{_show(t)}: {type(exc).__name__}: {exc}"
-            if outcome is _SKIP:
-                result.skipped += 1
-                continue
-            result.checked += 1
-            if outcome is not None:
-                result.failed += 1
-                if len(result.failures) < 4:
-                    result.failures.append(outcome)
-        results.append(result)
+    checks = [check for check in checks if check[1] in wanted]
+    # A task is a list of (check, block, first term, end).  The two checks
+    # that draw from rng share one task over the whole corpus, in registry
+    # order, so their draws are the sequential ones; it is the largest
+    # task, so it goes first.  Every other check is cut into blocks.
+    drawing = [
+        c for c, check in enumerate(checks) if check[2] in (pair_congruence, paired_t_step)
+    ]
+    blocks = min(jobs, _MAX_BLOCKS)
+    cuts = [len(terms) * k // blocks for k in range(blocks + 1)]
+    tasks = [[(c, 0, 0, len(terms)) for c in drawing]] if drawing else []
+    tasks += [
+        [(c, k, cuts[k], cuts[k + 1])]
+        for c in range(len(checks))
+        if c not in drawing
+        for k in range(blocks)
+    ]
+
+    def run_task(i: int) -> list:
+        return [
+            (c, k, *_tally(checks[c][2], terms[lo:end])) for c, k, lo, end in tasks[i]
+        ]
+
+    results = [CheckResult(name, group) for name, group, _ in checks]
+    parts = [part for done in _run_tasks(len(tasks), run_task, jobs) for part in done]
+    for c, _, checked, skipped, failed, failures in sorted(parts, key=lambda p: p[:2]):
+        result = results[c]
+        result.checked += checked
+        result.skipped += skipped
+        result.failed += failed
+        result.failures += failures[: 4 - len(result.failures)]
     return SuiteReport(tuple(results))

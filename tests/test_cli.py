@@ -156,6 +156,14 @@ def test_fmt_normalises_stdin(capsys, monkeypatch):
     assert lines(capsys) == ["H x y", "\\x.x"]
 
 
+def test_fmt_leaves_the_callers_stdin_open(capsys, monkeypatch):
+    stdin = io.StringIO("H x\n")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert main(["fmt", "-"]) == 0
+    assert not stdin.closed
+    assert lines(capsys) == ["H x"]
+
+
 def test_fmt_reads_a_file(capsys, tmp_path):
     path = tmp_path / "terms.txt"
     path.write_text("(\\x.x) (H y)\n")
@@ -209,6 +217,21 @@ def test_check_prints_counterexamples_and_fails(capsys, monkeypatch):
     assert code == 1
     assert "counterexample:" in out
     assert out.rstrip().endswith("FAILED")
+
+
+def test_check_prints_the_same_table_on_one_cpu_and_on_three(capsys, monkeypatch):
+    # check uses every CPU the affinity mask allows, as `taskset` sets it
+    monkeypatch.setattr("lambdah.equivalence.extract", lambda t: t)
+    argv = ["check", "--max-size", "5", "--count", "20", "--fuel", "100"]
+    outputs = []
+    for cpus in ({0}, {0, 1, 2}):
+        monkeypatch.setattr(
+            "os.sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False
+        )
+        assert main(argv) == 1
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("counterexample:") > 4
 
 
 # ---------- corpus ----------

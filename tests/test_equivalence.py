@@ -1,6 +1,9 @@
 """Equivalence tests: lockstep runs, theorem rows, trace lifting, suite."""
 
 import json
+import os
+import random
+from itertools import islice
 
 import pytest
 
@@ -24,7 +27,7 @@ from lambdah.equivalence import (
     solved,
     theorem_check,
 )
-from lambdah.gen import enumerate_terms
+from lambdah.gen import GenConfig, enumerate_terms, term_stream, wrap_applied_h
 from lambdah.machines import (
     BUILTINS,
     I,
@@ -447,3 +450,89 @@ def test_lemma_suite_records_exceptions_as_failures(monkeypatch):
     first = report.results[0]
     assert first.failed == 1
     assert "RuntimeError" in first.failures[0]
+
+
+# ---------- the suite's worker processes ----------
+
+
+def _mixed_corpus():
+    corpus = list(enumerate_terms(6, free_vars=1))
+    corpus += islice(term_stream(GenConfig(seed=0, max_size=12, free_vars=2)), 50)
+    return corpus
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["green", "identity-extract"])
+def test_lemma_suite_reports_the_same_for_any_number_of_jobs(broken, monkeypatch):
+    if broken:
+        monkeypatch.setattr("lambdah.equivalence.extract", lambda t: t)
+    corpus = _mixed_corpus()
+    reports = [lemma_suite(corpus, jobs=jobs) for jobs in (1, 2, 3)]
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0].ok is not broken
+    if broken:
+        # the first of three blocks holds fewer than four of this check's
+        # failures, so its first four come from more than one block
+        name = "lockstep_images_agree"
+        first_block = lemma_suite(corpus[: len(corpus) // 3], groups=["equivalence"])
+        assert next(r for r in first_block.results if r.name == name).failed < 4
+        whole = next(r for r in reports[0].results if r.name == name)
+        assert whole.failed > 4 and len(whole.failures) == 4
+
+
+def test_lemma_suite_draws_from_one_rng_in_sequential_order(monkeypatch):
+    recorded = []
+
+    def recording(*args, **kwargs):
+        recorded.append(wrap_applied_h(*args, **kwargs))
+        return recorded[-1]
+
+    monkeypatch.setattr("lambdah.equivalence.wrap_applied_h", recording)
+    corpus = _mixed_corpus()
+    lemma_suite(corpus, seed=7, jobs=1)
+    rng = random.Random(7)
+    probes = lambdah.equivalence._PROBES
+    replay = []
+    for t in corpus:  # extract_pair_congruence
+        if isinstance(t, Abs):
+            replay.append(wrap_applied_h(t.body, rng))
+            replay.append(wrap_applied_h(probes[rng.randrange(len(probes))], rng))
+    for t in corpus:  # paired_t_steps_preserve_image
+        if spine(t)[1].__class__ is Abs:
+            replay.append(wrap_applied_h(t, rng, protect_head=True))
+    assert recorded == replay
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("interrupted", [False, True], ids=["children-exit", "interrupted"])
+def test_lemma_suite_leaves_no_process_behind(interrupted, monkeypatch):
+    corpus = _mixed_corpus()
+    expected = lemma_suite(corpus, jobs=1)
+    assert lemma_suite(corpus, jobs=3) == expected
+    _no_child_left()
+    me = os.getpid()
+    real = lambdah.equivalence._extract_idempotent
+
+    def stubbed(t):
+        # a child that takes this check dies, so the parent runs it too
+        if os.getpid() != me:
+            os._exit(3)
+        if interrupted:
+            raise KeyboardInterrupt
+        return real(t)
+
+    monkeypatch.setattr("lambdah.equivalence._extract_idempotent", stubbed)
+    if interrupted:
+        with pytest.raises(KeyboardInterrupt):
+            lemma_suite(corpus, jobs=3)
+    else:
+        assert lemma_suite(corpus, jobs=3) == expected
+    _no_child_left()
+
+
+def test_lemma_suite_needs_at_least_one_job():
+    with pytest.raises(ValueError):
+        lemma_suite([H], jobs=0)
