@@ -177,17 +177,8 @@ def _cmd_check(args) -> int:
     cfg = GenConfig(seed=args.seed, max_size=args.random_size, free_vars=2)
     corpus.extend(islice(term_stream(cfg), args.count))
     groups = None if args.suite == "all" else [args.suite]
-    try:
-        jobs = len(os.sched_getaffinity(0))  # what `taskset` allows
-    except AttributeError:  # no affinity call on this platform
-        jobs = os.cpu_count() or 1
     report = lemma_suite(
-        corpus,
-        seed=args.seed,
-        fuel=args.fuel,
-        max_t=args.max_t,
-        groups=groups,
-        jobs=jobs,
+        corpus, seed=args.seed, fuel=args.fuel, max_t=args.max_t, groups=groups
     )
     name_width = max(len(r.name) for r in report.results)
     print(f"{'check':{name_width}}  checked  skipped  failed")

@@ -655,10 +655,17 @@ def _lift_replays(t: Term):
     return None
 
 
-# Task ids are written to one pipe before any process reads them, so
-# all of them must fit in its buffer; 4,096 bytes is the least a Linux
-# pipe holds.  16 checks in 128 blocks make 1,793 ids, 3,586 bytes.
-_MAX_BLOCKS = 128
+# The most processes that share the suite.  The two checks that draw
+# from the seeded rng are one task that cannot be split, and on
+# `check`'s benchmark corpus (6,985 terms) it took 12 % to 21 % of four
+# sequential passes.  No pass ends before that task does, so past five
+# to eight processes more cannot make a pass shorter; each costs a fork
+# and about 14 MB of resident memory, much of it shared with the
+# caller.  The bound also
+# keeps the task ids, all written to one pipe before any process reads
+# them, within the 4,096 bytes that are the least a Linux pipe holds:
+# 16 checks in 8 blocks make 113 ids, 226 bytes.
+_MAX_JOBS = 8
 
 
 def _tally(fn: Callable, terms: Sequence[Term]) -> tuple[int, int, int, list[str]]:
@@ -748,17 +755,20 @@ def lemma_suite(
     fuel: int = 300,
     max_t: int = 50,
     groups: Sequence[str] | None = None,
-    jobs: int = 1,
 ) -> SuiteReport:
     """Evaluate every extraction, step, and equivalence invariant over a
     corpus.  A raised violation (shape, cap, replay) is recorded as a
     failure on the offending term rather than aborting the sweep.
 
-    ``jobs`` processes share the work, and the report is the same for
-    every ``jobs``: counts, failures and their order.
+    One process per CPU that this one may use (its affinity mask, as
+    ``taskset`` sets it), at most eight, shares the work, and the report
+    is the same for any number of them: counts, failures and their order.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, not {jobs}")
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    jobs = min(cpus, _MAX_JOBS)
     terms = list(corpus)
     wanted = set(groups) if groups else {"extraction", "machines", "equivalence"}
     rng = random.Random(seed)
@@ -790,14 +800,13 @@ def lemma_suite(
     drawing = [
         c for c, check in enumerate(checks) if check[2] in (pair_congruence, paired_t_step)
     ]
-    blocks = min(jobs, _MAX_BLOCKS)
-    cuts = [len(terms) * k // blocks for k in range(blocks + 1)]
+    cuts = [len(terms) * k // jobs for k in range(jobs + 1)]
     tasks = [[(c, 0, 0, len(terms)) for c in drawing]] if drawing else []
     tasks += [
         [(c, k, cuts[k], cuts[k + 1])]
         for c in range(len(checks))
         if c not in drawing
-        for k in range(blocks)
+        for k in range(jobs)
     ]
 
     def run_task(i: int) -> list:

@@ -461,12 +461,22 @@ def _mixed_corpus():
     return corpus
 
 
+def _on_cpus(monkeypatch, cpus):
+    """Let lemma_suite see an affinity mask of ``cpus`` CPUs."""
+    monkeypatch.setattr(
+        "os.sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+    )
+
+
 @pytest.mark.parametrize("broken", [False, True], ids=["green", "identity-extract"])
-def test_lemma_suite_reports_the_same_for_any_number_of_jobs(broken, monkeypatch):
+def test_lemma_suite_reports_the_same_on_one_two_and_three_cpus(broken, monkeypatch):
     if broken:
         monkeypatch.setattr("lambdah.equivalence.extract", lambda t: t)
     corpus = _mixed_corpus()
-    reports = [lemma_suite(corpus, jobs=jobs) for jobs in (1, 2, 3)]
+    reports = []
+    for cpus in (1, 2, 3):
+        _on_cpus(monkeypatch, cpus)
+        reports.append(lemma_suite(corpus))
     assert reports[0] == reports[1] == reports[2]
     assert reports[0].ok is not broken
     if broken:
@@ -487,8 +497,9 @@ def test_lemma_suite_draws_from_one_rng_in_sequential_order(monkeypatch):
         return recorded[-1]
 
     monkeypatch.setattr("lambdah.equivalence.wrap_applied_h", recording)
+    _on_cpus(monkeypatch, 1)  # so that every draw is made in this process
     corpus = _mixed_corpus()
-    lemma_suite(corpus, seed=7, jobs=1)
+    lemma_suite(corpus, seed=7)
     rng = random.Random(7)
     probes = lambdah.equivalence._PROBES
     replay = []
@@ -510,8 +521,10 @@ def _no_child_left():
 @pytest.mark.parametrize("interrupted", [False, True], ids=["children-exit", "interrupted"])
 def test_lemma_suite_leaves_no_process_behind(interrupted, monkeypatch):
     corpus = _mixed_corpus()
-    expected = lemma_suite(corpus, jobs=1)
-    assert lemma_suite(corpus, jobs=3) == expected
+    _on_cpus(monkeypatch, 1)
+    expected = lemma_suite(corpus)
+    _on_cpus(monkeypatch, 3)
+    assert lemma_suite(corpus) == expected
     _no_child_left()
     me = os.getpid()
     real = lambdah.equivalence._extract_idempotent
@@ -527,12 +540,38 @@ def test_lemma_suite_leaves_no_process_behind(interrupted, monkeypatch):
     monkeypatch.setattr("lambdah.equivalence._extract_idempotent", stubbed)
     if interrupted:
         with pytest.raises(KeyboardInterrupt):
-            lemma_suite(corpus, jobs=3)
+            lemma_suite(corpus)
     else:
-        assert lemma_suite(corpus, jobs=3) == expected
+        assert lemma_suite(corpus) == expected
     _no_child_left()
 
 
-def test_lemma_suite_needs_at_least_one_job():
-    with pytest.raises(ValueError):
-        lemma_suite([H], jobs=0)
+@pytest.mark.parametrize(
+    "cpus, cpu_count, children",
+    [(64, 64, 7), (None, 3, 2), (None, None, 0)],
+    ids=["mask-of-64", "no-mask-3-cpus", "no-mask-unknown"],
+)
+def test_lemma_suite_forks_a_child_for_each_cpu_but_one_up_to_seven(
+    cpus, cpu_count, children, monkeypatch
+):
+    corpus = _mixed_corpus()
+    _on_cpus(monkeypatch, 1)
+    expected = lemma_suite(corpus)
+    if cpus is None:  # a platform without an affinity call
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
+    else:
+        _on_cpus(monkeypatch, cpus)
+    monkeypatch.setattr("os.cpu_count", lambda: cpu_count)
+    forked = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr("os.fork", counting_fork)
+    assert lemma_suite(corpus) == expected
+    assert len(forked) == children
+    _no_child_left()
