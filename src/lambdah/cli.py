@@ -29,7 +29,6 @@ from .equivalence import (
     Diverged,
     EMismatch,
     agreement_row_json,
-    agreement_summary_json,
     agreement_tally,
     lemma_suite,
     lockstep,
@@ -48,7 +47,7 @@ from .machines import (
     run,
     trace_json,
 )
-from .syntax import ParseError, UnboundVariable, format_term, parse_term, source_lines
+from .syntax import ParseError, format_term, parse_term, source_lines
 
 
 def _read_term(text: str):
@@ -194,10 +193,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    entries = read_corpus(args.file, constants=BUILTINS)
+    entries = read_corpus(args.file)
     rows = []
     for entry in entries:
-        row = theorem_check(entry.term, args.fuel, j_fuel_ratio=args.j_fuel_ratio)
+        row = theorem_check(entry.term, args.fuel)
         rows.append(row)
         if args.json:
             print(agreement_row_json(row, entry.free_vars))
@@ -207,7 +206,7 @@ def _cmd_corpus(args) -> int:
             print(f"{entry.text}: I={verdict_word(vi)}({vi.t_steps}) "
                   f"J={verdict_word(vj)}({vj.t_steps}) {flag}")
     if args.json:
-        print(agreement_summary_json(rows))
+        print(json.dumps(agreement_tally(rows)))
     else:
         tally = agreement_tally(rows)
         print(
@@ -288,12 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="context agreement report for a corpus file")
     p.add_argument("file")
     p.add_argument("--fuel", type=_nat, default=10000)
-    p.add_argument(
-        "--j-fuel-ratio",
-        type=_nat,
-        default=20,
-        help="fuel multiplier for the substituted J side (default 20)",
-    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_corpus)
 
@@ -312,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
         # the consumer of our output went away (head, less, ...); an
         # OSError, so it is caught before the one below
         return 0
-    except (ParseError, UnboundVariable, OSError, ValueError) as exc:
+    except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AuxCapExceeded as exc:

@@ -69,7 +69,7 @@ argument, so after k t-steps the state stands for 2^(k+1) + 9 nodes
 and 2^k aux steps lie behind it.  Held as towers, those states are a
 handful of nodes and each burst is one contraction, so the run costs
 time linear in its t-steps; other terms can still grow states that no
-tower shares.  ``max_state`` bounds the size a burst may start from,
+tower shares.  ``MAX_STATE`` bounds the size a burst may start from,
 counted in expanded nodes as ``size`` counts them: when a burst is
 about to start from a state bigger than the budget, the run stops with
 Overflow, which like fuel exhaustion means "unknown", never
@@ -233,7 +233,7 @@ class FuelExhausted:
 
 @dataclass(frozen=True, slots=True)
 class Overflow:
-    """The state outgrew ``max_state`` nodes with a burst pending.  Like
+    """The state outgrew ``MAX_STATE`` nodes with a burst pending.  Like
     fuel exhaustion this leaves the run undecided."""
 
     last: Term
@@ -244,23 +244,18 @@ class Overflow:
 
 MachineOutcome = Hnf | FuelExhausted | Overflow
 
-# Default state budget for strategies that take auxiliary bursts,
-# counted in expanded nodes.  No walk over a state recurses, so the
-# budget guards no stack; it bounds the work of a burst, at most
-# 4096**2 // 4 steps.  It stays 4096 because the JT trace of the
-# duplicator context ``H (\x.x x) (\x.x x)`` stops there, and the
-# trace-roundtrip benchmark and the traces and counts the tests freeze
-# were taken at that value.
-DEFAULT_MAX_STATE = 4096
+# The state budget for strategies that take auxiliary bursts, counted
+# in expanded nodes.  No walk over a state recurses, so the budget
+# guards no stack; it bounds the work of a burst, at most 4096**2 // 4
+# steps.  It is 4096 because the JT trace of the duplicator context
+# ``H (\x.x x) (\x.x x)`` stops there, and the trace-roundtrip
+# benchmark and the traces and counts the tests freeze were taken at
+# that value.
+MAX_STATE = 4096
 
 
 def run(
-    t: Term,
-    strategy: Strategy,
-    fuel: int,
-    *,
-    keep_trace: bool = False,
-    max_state: int | None = None,
+    t: Term, strategy: Strategy, fuel: int, *, keep_trace: bool = False
 ) -> MachineOutcome:
     """Drive ``t`` with the given strategy.
 
@@ -268,17 +263,15 @@ def run(
     head normal form for IT/JT, a t-irreducible head for T_HEAD.
     Returns FuelExhausted after ``fuel`` t-steps with work remaining,
     and Overflow when a burst would start from a state bigger than
-    ``max_state`` nodes (default DEFAULT_MAX_STATE); both mean the run
-    is undecided.  IT or JT at fuel 0 is pure I- or J-reduction: it
-    stops at Hnf or, at a beta redex, with FuelExhausted.  The outcome
-    holds ``t`` itself if no step was taken, and with ``keep_trace``
-    every entry's ``before`` is the previous entry's ``after`` and the
-    outcome holds the last one.  A burst that outruns its proven bound
-    raises AuxCapExceeded.
+    MAX_STATE nodes; both mean the run is undecided.  IT or JT at fuel
+    0 is pure I- or J-reduction: it stops at Hnf or, at a beta redex,
+    with FuelExhausted.  The outcome holds ``t`` itself if no step was
+    taken, and with ``keep_trace`` every entry's ``before`` is the
+    previous entry's ``after`` and the outcome holds the last one.  A
+    burst that outruns its proven bound raises AuxCapExceeded.
     """
     trace: list[TraceEntry] | None = [] if keep_trace else None
     aux = strategy.value[:-1] or None
-    budget = max_state if max_state is not None else DEFAULT_MAX_STATE
     # the state as a Term while one is at hand: the input, then the last
     # traced state; None once an untraced step has moved past it
     state: Term | None = t
@@ -289,7 +282,7 @@ def run(
             if aux_since_t == 0:
                 # size of the state, without reading it back
                 state_size = binders + size(head) + sum(size(a) + 1 for a in stack)
-                if state_size > budget:
+                if state_size > MAX_STATE:
                     stop = Overflow
                     break
                 # A burst from a state with h H-nodes and a applications

@@ -349,14 +349,14 @@ def apply_args(t: Term, args: Iterable[Term]) -> Term:
 # ---------- substitution ----------
 
 
-def shift(t: Term, by: int, cutoff: int = 0) -> Term:
-    """Add ``by`` to every variable index >= cutoff (free at that depth).
+def shift(t: Term, by: int) -> Term:
+    """Add ``by`` to every free variable index.
 
-    A subterm with no index at or above the cutoff comes back as itself.
+    A subterm with no free index comes back as itself.
     """
-    if by == 0 or t.fv <= cutoff:
+    if by == 0 or t.fv == 0:
         return t
-    return _rebuild(t, cutoff, by, None)
+    return _rebuild(t, by, None)
 
 
 def substitute(body: Term, value: Term) -> Term:
@@ -373,7 +373,7 @@ def substitute(body: Term, value: Term) -> Term:
     if body.__class__ is Var:
         i = body.index
         return value if i == 0 else Var(i - 1)
-    return _rebuild(body, 0, -1, value)
+    return _rebuild(body, -1, value)
 
 
 # rebuild markers on the work stack of ``_rebuild``
@@ -381,21 +381,21 @@ _APP = object()  # an application, from its two rebuilt children
 _ABS = object()  # an abstraction, from its rebuilt body; leaves a binder
 
 
-def _rebuild(t: Term, cutoff: int, by: int, value: Term | None) -> Term:
-    # The one walk behind ``shift`` and ``substitute``.  ``depth`` starts
-    # at ``cutoff`` and counts the binders crossed, and an index below it
-    # is left alone.  With no ``value`` every other index moves by
-    # ``by``.  With one (a substitution, so ``cutoff`` is 0), index
-    # ``depth`` becomes the value shifted past the binders crossed, and
-    # the indices above it move by ``by``, -1 for the consumed binder.
-    # A subterm with every free index below ``depth`` comes back as
-    # itself.  The walk descends through operators and bodies without
-    # pushing them; the stack holds the arguments still to visit and the
-    # markers of the nodes to rebuild, a tower's marker being its
-    # height.  Rebuilt subterms wait in ``done`` for their parent.
+def _rebuild(t: Term, by: int, value: Term | None) -> Term:
+    # The one walk behind ``shift`` and ``substitute``.  ``depth`` counts
+    # the binders crossed, and an index below it is left alone.  With no
+    # ``value`` every other index moves by ``by``.  With one (a
+    # substitution), index ``depth`` becomes the value shifted past the
+    # binders crossed, and the indices above it move by ``by``, -1 for
+    # the consumed binder.  A subterm with every free index below
+    # ``depth`` comes back as itself.  The walk descends through
+    # operators and bodies without pushing them; the stack holds the
+    # arguments still to visit and the markers of the nodes to rebuild,
+    # a tower's marker being its height.  Rebuilt subterms wait in
+    # ``done`` for their parent.
     done: list[Term] = []
     todo: list = []
-    depth = cutoff
+    depth = 0
     while True:
         if t.fv <= depth:
             done.append(t)

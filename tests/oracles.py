@@ -10,7 +10,8 @@ textbook definition that de Bruijn indices are supposed to implement.
 ``reference_run`` is the machine driver written the direct way: it
 re-reads the whole state through ``decompose`` before every step and
 rebuilds the whole state after it, so it shares only the outcome types
-and ``substitute`` with the unwound machine it checks.
+and ``substitute`` with the unwound machine it checks.  ``state_budget``
+sets the budget ``machines.MAX_STATE`` of both drivers for a block.
 ``count_h_and_apps`` counts the two kinds of node that bound a burst,
 and ``finished_burst`` tells whether a pure run took all of its burst.
 ``recursive_wrap_applied_h`` is the H-wrapper of ``gen`` written by
@@ -32,12 +33,15 @@ from __future__ import annotations
 
 import random
 import re
+from contextlib import contextmanager
 from functools import lru_cache
 from typing import Iterator
 
+import pytest
+
+from lambdah import machines
 from lambdah.gen import GenConfig, _random_term, wrap_applied_h
 from lambdah.machines import (
-    DEFAULT_MAX_STATE,
     AuxCapExceeded,
     FuelExhausted,
     Hnf,
@@ -233,18 +237,14 @@ _REF_AUX = {
 
 
 def reference_run(
-    t: Term,
-    strategy: Strategy,
-    fuel: int,
-    *,
-    keep_trace: bool = False,
-    max_state: int | None = None,
+    t: Term, strategy: Strategy, fuel: int, *, keep_trace: bool = False
 ) -> MachineOutcome:
     """``machines.run`` by whole-state rewriting: one decomposition per
-    step, one rebuilt state after it, one size walk per burst."""
+    step, one rebuilt state after it, one size walk per burst.  The state
+    budget is ``machines.MAX_STATE``, read at call time, so a test that
+    patches it patches both drivers."""
     trace: list[TraceEntry] | None = [] if keep_trace else None
     contract_aux = _REF_AUX[strategy]
-    budget = max_state if max_state is not None else DEFAULT_MAX_STATE
     t_steps = aux_steps = aux_since_t = burst_cap = 0
 
     def frozen():
@@ -255,7 +255,7 @@ def reference_run(
         if contract_aux is not None and isinstance(base, ConstH) and args:
             if aux_since_t == 0:
                 state_size = size(t)
-                if state_size > budget:
+                if state_size > machines.MAX_STATE:
                     return Overflow(t, t_steps, frozen(), aux_steps)
                 burst_cap = state_size * state_size // 4
             if aux_since_t >= burst_cap:
@@ -282,6 +282,16 @@ def reference_run(
                 trace.append(TraceEntry(StepKind.T, before, t, t_steps))
             continue
         return Hnf(t, t_steps, aux_steps, frozen())
+
+
+@contextmanager
+def state_budget(nodes: int) -> Iterator[None]:
+    """``machines.MAX_STATE`` is ``nodes`` inside the block.  A context,
+    not the ``monkeypatch`` fixture, so it also serves hypothesis tests
+    and loops over several budgets."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(machines, "MAX_STATE", nodes)
+        yield
 
 
 def count_h_and_apps(t: Term) -> tuple[int, int]:

@@ -28,7 +28,6 @@ from lambdah.equivalence import (
 from lambdah.extraction import ShapeViolation, classify, extract
 from lambdah.gen import GenConfig, enumerate_terms, term_stream
 from lambdah.machines import (
-    BUILTINS,
     I,
     J,
     OMEGA,
@@ -194,7 +193,7 @@ def test_machine_verdicts_bridge_to_substituted_runs(closed6):
 
 
 def test_curated_contexts_never_disagree():
-    entries = read_corpus(CONTEXT_FILE, constants=BUILTINS)
+    entries = read_corpus(CONTEXT_FILE)
     texts = {e.text for e in entries}
     # the families the corpus must cover
     assert {"H", "H w", "H Omega", "\\x.H x", "H (\\x.x x) (\\x.x x)"} <= texts

@@ -269,21 +269,15 @@ def test_corpus_json_report(capsys, tmp_path):
     }
 
 
-def test_corpus_j_fuel_ratio_flag(capsys, tmp_path):
-    path = tmp_path / "contexts.txt"
-    path.write_text("H Omega\n")
-    assert main(["corpus", str(path), "--fuel", "50", "--j-fuel-ratio", "1"]) == 0
-    assert lines(capsys)[0] == "H Omega: I=unknown(50) J=unknown(50) agree"
-
-
 def test_corpus_reports_a_fuel_exhausted_side_as_a_disagreement(capsys, tmp_path):
-    # the J side needs more than one t-step to unfold the fixed point;
-    # running out of fuel there is reported as DISAGREE, not as unknown
+    # I is at hnf already, while J = Y G needs t-steps to unfold the
+    # fixed point; running out of fuel there is reported as DISAGREE,
+    # not as unknown
     path = tmp_path / "contexts.txt"
-    path.write_text("H w\n")
-    assert main(["corpus", str(path), "--fuel", "1", "--j-fuel-ratio", "1"]) == 1
+    path.write_text("H\n")
+    assert main(["corpus", str(path), "--fuel", "0"]) == 1
     assert lines(capsys) == [
-        "H w: I=hnf(1) J=unknown(1) DISAGREE",
+        "H: I=hnf(0) J=unknown(0) DISAGREE",
         "1 contexts, 1 disagreements, 0 both-unknown",
     ]
 
@@ -331,6 +325,10 @@ def test_corpus_of_a_directory_exits_2(capsys, tmp_path):
 def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["reduce", "x", "--strategy", "bogus"]) == 2
+    # the J side's share of the fuel is fixed; a script that still sets
+    # it fails loudly instead of running with another share
+    assert main(["corpus", "contexts.txt", "--j-fuel-ratio", "1"]) == 2
+    assert "unrecognized arguments: --j-fuel-ratio 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -347,7 +345,6 @@ def test_usage_errors_exit_2(capsys):
         ["check", "--random-size", "-1"],
         ["check", "--max-t", "-1"],
         ["corpus", "contexts.txt", "--fuel", "-1"],
-        ["corpus", "contexts.txt", "--j-fuel-ratio", "-1"],
     ],
 )
 def test_budgets_and_counts_take_only_non_negative_integers(capsys, argv):

@@ -18,7 +18,7 @@ from lambdah.equivalence import (
     InvalidTrace,
     LiftWitness,
     agreement_row_json,
-    agreement_summary_json,
+    agreement_tally,
     lemma_suite,
     lift_j_trace,
     lockstep,
@@ -29,7 +29,6 @@ from lambdah.equivalence import (
 )
 from lambdah.gen import GenConfig, enumerate_terms, term_stream, wrap_applied_h
 from lambdah.machines import (
-    BUILTINS,
     I,
     J,
     OMEGA,
@@ -44,6 +43,7 @@ from lambdah.machines import (
 )
 from lambdah.syntax import parse_term
 from lambdah.terms import Abs, App, H, Term, Var, apply_args, size, spine
+from oracles import state_budget
 
 
 def term(text, frees=None):
@@ -111,7 +111,8 @@ def test_lockstep_ends_both_running_when_a_side_outgrows_the_budget():
     # the J side doubles its head H chain at every t-step; the I side
     # just drops the H and loops on Omega.  The aborted step gets no
     # checkpoint, every completed one compares equal.
-    report = lockstep(term("H (\\x.x x) (\\x.x x)"), 100, max_state=64)
+    with state_budget(64):
+        report = lockstep(term("H (\\x.x x) (\\x.x x)"), 100)
     assert report.verdict == BothRunning()
     assert report.t_steps_i == report.t_steps_j == 5
     assert len(report.checkpoints) == 4
@@ -142,7 +143,8 @@ def test_lockstep_reports_a_one_sided_halt_as_diverged(monkeypatch):
 def test_lockstep_reports_diverged_when_the_running_side_outgrows_the_budget():
     # at t-step 1 the I side settles to an hnf; the J side's state is
     # over the budget with a burst still pending
-    report = lockstep(term("H H (\\x.x x (\\y.H)) H"), 10, max_state=13)
+    with state_budget(13):
+        report = lockstep(term("H H (\\x.x x (\\y.H)) H"), 10)
     assert report.verdict == Diverged(1)
     assert (report.t_steps_i, report.t_steps_j) == (1, 1)
     assert (report.aux_steps_i, report.aux_steps_j) == (4, 3)
@@ -154,7 +156,8 @@ def test_lockstep_over_budget_input_takes_no_steps():
     tower = H
     for _ in range(20):
         tower = App(H, tower)
-    report = lockstep(tower, 10, max_state=10)
+    with state_budget(10):
+        report = lockstep(tower, 10)
     assert report.verdict == BothRunning()
     assert report.t_steps_i == report.t_steps_j == 0
     assert report.checkpoints == ()
@@ -210,13 +213,14 @@ def test_theorem_row_with_both_sides_unknown_agrees_vacuously():
 
 
 def test_theorem_check_gives_the_j_side_extra_fuel():
-    row = theorem_check(App(H, OMEGA), 5, j_fuel_ratio=3)
+    row = theorem_check(App(H, OMEGA), 5)
     assert row.verdict_i.t_steps == 5
-    assert row.verdict_j.t_steps == 15
+    assert row.verdict_j.t_steps == 100
 
 
 def test_theorem_check_counts_an_overflowed_machine_side_as_unknown():
-    row = theorem_check(term("H (\\x.x x) (\\x.x x)"), 50, max_state=512)
+    with state_budget(512):
+        row = theorem_check(term("H (\\x.x x) (\\x.x x)"), 50)
     assert isinstance(row.verdict_jt, Overflow)
     assert isinstance(row.verdict_j, FuelExhausted)
     assert row.agree
@@ -258,7 +262,7 @@ def test_agreement_row_json_schema():
 
 def test_agreement_summary_json_tallies_outcomes():
     rows = [theorem_check(term("H w"), 50), theorem_check(App(H, OMEGA), 10)]
-    assert json.loads(agreement_summary_json(rows)) == {
+    assert agreement_tally(rows) == {
         "contexts": 2,
         "definite": 1,
         "both_unknown": 1,
@@ -287,7 +291,7 @@ def test_read_corpus_skips_comments_and_blank_lines(tmp_path):
 def test_read_corpus_resolves_named_constants(tmp_path):
     path = tmp_path / "contexts.txt"
     path.write_text("H Omega\n")
-    [entry] = read_corpus(path, constants=BUILTINS)
+    [entry] = read_corpus(path)
     assert entry.term == App(H, OMEGA)
 
 

@@ -13,7 +13,7 @@ from lambdah.cli import main
 from lambdah.extraction import extract
 from lambdah.gen import GenConfig, enumerate_terms, term_stream, wrap_applied_h
 from lambdah.machines import (
-    DEFAULT_MAX_STATE,
+    MAX_STATE,
     G,
     I,
     J,
@@ -45,7 +45,7 @@ from lambdah.terms import (
     size,
     spine,
 )
-from oracles import count_h_and_apps, finished_burst, reference_run
+from oracles import count_h_and_apps, finished_burst, reference_run, state_budget
 
 
 def term(text, frees=None):
@@ -295,17 +295,18 @@ def test_every_outcome_reports_its_aux_steps():
         return sum(1 for e in out.trace if e.kind is not StepKind.T)
 
     kinds = set()
-    for t in enumerate_terms(6, free_vars=2):
-        for strategy in (Strategy.IT, Strategy.JT):
-            for fuel in (0, 1, 3):
-                for max_state in (None, 8):
-                    out = run(t, strategy, fuel, keep_trace=True, max_state=max_state)
-                    assert out.aux_steps == aux_in_trace(out), (t, strategy, fuel, max_state)
-                    kinds.add(type(out))
+    terms = list(enumerate_terms(6, free_vars=2))
+    for budget in (MAX_STATE, 8):
+        with state_budget(budget):
+            for t, strategy, fuel in product(terms, (Strategy.IT, Strategy.JT), (0, 1, 3)):
+                out = run(t, strategy, fuel, keep_trace=True)
+                assert out.aux_steps == aux_in_trace(out), (t, strategy, fuel, budget)
+                kinds.add(type(out))
     assert kinds == {Hnf, FuelExhausted}
     # no term of size 6 outgrows a budget of 8 within three t-steps; the
     # doubler outgrows 64 five t-steps in
-    out = run(term(DOUBLER), Strategy.JT, 100, keep_trace=True, max_state=64)
+    with state_budget(64):
+        out = run(term(DOUBLER), Strategy.JT, 100, keep_trace=True)
     assert isinstance(out, Overflow)
     assert out.aux_steps == aux_in_trace(out) > 0
 
@@ -324,12 +325,13 @@ def test_jt_overflow_on_a_doubling_h_chain():
     assert isinstance(out, Overflow)
     # 2^11 head Hs is the first chain over the default budget
     assert out.t_steps == 11
-    assert size(out.last) > DEFAULT_MAX_STATE
+    assert size(out.last) > MAX_STATE
     assert out.trace[-1].after == out.last
 
 
 def test_explicit_state_budget_stops_sooner():
-    out = run(term(DOUBLER), Strategy.JT, 100, max_state=64)
+    with state_budget(64):
+        out = run(term(DOUBLER), Strategy.JT, 100)
     assert isinstance(out, Overflow)
     assert out.t_steps == 5
     assert size(out.last) == 73
@@ -337,18 +339,22 @@ def test_explicit_state_budget_stops_sooner():
 
 def test_state_budget_spares_runs_that_stay_small():
     t = term("H (\\x.x) w", frees=["w"])
-    assert run(t, Strategy.JT, 10, max_state=50) == run(t, Strategy.JT, 10)
+    with state_budget(50):
+        small = run(t, Strategy.JT, 10)
+    assert small == run(t, Strategy.JT, 10)
 
 
 def test_over_budget_input_overflows_before_any_step():
     tower = H
     for _ in range(20):
         tower = App(H, tower)
-    assert run(tower, Strategy.JT, 0, max_state=10) == Overflow(tower, 0, None)
+    with state_budget(10):
+        assert run(tower, Strategy.JT, 0) == Overflow(tower, 0, None)
 
 
 def test_t_only_reduction_ignores_the_state_budget():
-    out = run(OMEGA, Strategy.T_HEAD, 10, max_state=1)
+    with state_budget(1):
+        out = run(OMEGA, Strategy.T_HEAD, 10)
     assert isinstance(out, FuelExhausted)
     assert out.t_steps == 10
 
@@ -376,18 +382,16 @@ def assert_trace_chains_by_identity(t, out):
 
 
 def test_run_matches_the_reference_driver_on_every_small_term():
-    budgets = list(product((0, 1, 3), (None, 8, 13)))
-    for t in enumerate_terms(6, free_vars=2):
-        for strategy in Strategy:
-            for keep_trace in (False, True):
-                for fuel, max_state in budgets:
-                    args = (t, strategy, fuel)
-                    kwargs = dict(keep_trace=keep_trace, max_state=max_state)
-                    assert outcome_text(run, *args, **kwargs) == outcome_text(
-                        reference_run, *args, **kwargs
-                    ), (t, strategy, fuel, max_state, keep_trace)
-                    if keep_trace:
-                        assert_trace_chains_by_identity(t, run(*args, **kwargs))
+    terms = list(enumerate_terms(6, free_vars=2))
+    for budget in (MAX_STATE, 8, 13):
+        with state_budget(budget):
+            for t, strategy, fuel in product(terms, Strategy, (0, 1, 3)):
+                args = (t, strategy, fuel)
+                for keep_trace in (False, True):
+                    assert outcome_text(run, *args, keep_trace=keep_trace) == outcome_text(
+                        reference_run, *args, keep_trace=keep_trace
+                    ), (t, strategy, fuel, budget, keep_trace)
+                assert_trace_chains_by_identity(t, run(*args, keep_trace=True))
 
 
 def test_the_state_budget_counts_every_node_of_the_unwound_state():
@@ -397,24 +401,25 @@ def test_the_state_budget_counts_every_node_of_the_unwound_state():
     overflows = 0
     for t in enumerate_terms(6, free_vars=2):
         for strategy, fuel in product((Strategy.IT, Strategy.JT), (0, 3)):
-            for max_state in (size(t) - 1, size(t)):
+            for budget in (size(t) - 1, size(t)):
                 args = (t, strategy, fuel)
-                text = outcome_text(run, *args, max_state=max_state)
-                assert text == outcome_text(reference_run, *args, max_state=max_state)
+                with state_budget(budget):
+                    text = outcome_text(run, *args)
+                    assert text == outcome_text(reference_run, *args)
                 overflows += text.startswith("Overflow")
     assert overflows > 0
 
 
 def test_run_matches_the_reference_driver_on_the_duplicator():
     u = term(DOUBLER)
-    for strategy in Strategy:
-        for keep_trace in (False, True):
-            args = (u, strategy, 100)
-            kwargs = dict(keep_trace=keep_trace, max_state=64)
-            assert outcome_text(run, *args, **kwargs) == outcome_text(
-                reference_run, *args, **kwargs
-            )
-    out = run(u, Strategy.JT, 100, keep_trace=True, max_state=64)
+    with state_budget(64):
+        for strategy in Strategy:
+            for keep_trace in (False, True):
+                args = (u, strategy, 100)
+                assert outcome_text(run, *args, keep_trace=keep_trace) == outcome_text(
+                    reference_run, *args, keep_trace=keep_trace
+                )
+        out = run(u, Strategy.JT, 100, keep_trace=True)
     assert isinstance(out, Overflow)
     assert_trace_chains_by_identity(u, out)
 
@@ -442,17 +447,17 @@ def towered_terms(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(towered_terms(), st.sampled_from((None, 300)))
-def test_whole_tower_contractions_match_the_level_at_a_time_reference(t, max_state):
+@given(towered_terms(), st.sampled_from((MAX_STATE, 300)))
+def test_whole_tower_contractions_match_the_level_at_a_time_reference(t, budget):
     # the repr spells the outcome class, both step counts, the final
     # state and every trace entry
-    for strategy in Strategy:
-        for keep_trace in (False, True):
-            args = (t, strategy, 30)
-            kwargs = dict(keep_trace=keep_trace, max_state=max_state)
-            assert outcome_text(run, *args, **kwargs) == outcome_text(
-                reference_run, *args, **kwargs
-            )
+    with state_budget(budget):
+        for strategy in Strategy:
+            for keep_trace in (False, True):
+                args = (t, strategy, 30)
+                assert outcome_text(run, *args, keep_trace=keep_trace) == outcome_text(
+                    reference_run, *args, keep_trace=keep_trace
+                )
 
 
 def test_jt_takes_the_duplicators_doubling_tower_in_one_contraction():
@@ -460,11 +465,13 @@ def test_jt_takes_the_duplicators_doubling_tower_in_one_contraction():
     # nodes, with 2^k aux steps behind it; each burst is one contraction,
     # where taking one level at a time would take 2^60 steps
     u = term(DOUBLER)
-    out = run(u, Strategy.JT, 60, max_state=2**70)
+    with state_budget(2**70):
+        out = run(u, Strategy.JT, 60)
     assert isinstance(out, FuelExhausted)
     assert (out.t_steps, out.aux_steps) == (60, 2**60)
     assert size(out.last) == 2**61 + 9
-    out = run(u, Strategy.JT, 23, max_state=10**7)
+    with state_budget(10**7):
+        out = run(u, Strategy.JT, 23)
     assert isinstance(out, Overflow)
     assert (out.t_steps, out.aux_steps) == (23, 4_194_304)
 
@@ -473,7 +480,8 @@ def test_an_outcome_without_a_step_holds_the_input_itself():
     for text in ("\\x.x", "(\\x.x) y", "H y"):
         t = term(text)
         for strategy in Strategy:
-            out = run(t, strategy, 0, max_state=1)
+            with state_budget(1):
+                out = run(t, strategy, 0)
             assert (out.result if isinstance(out, Hnf) else out.last) is t
 
 
@@ -501,7 +509,8 @@ def test_an_i_burst_over_a_long_spine():
     # H H .. H x with 20,000 arguments: every i-step drops one, and the
     # machine never rebuilds the spine it has not reached
     t = apply_args(H, [H] * 19999 + [Var(0)])
-    assert run(t, Strategy.IT, 0, max_state=10**6) == Hnf(Var(0), 0, 20000)
+    with state_budget(10**6):
+        assert run(t, Strategy.IT, 0) == Hnf(Var(0), 0, 20000)
 
 
 def test_a_j_wrap_burst_over_a_long_spine():
@@ -509,7 +518,8 @@ def test_a_j_wrap_burst_over_a_long_spine():
     # a2, each on a spine of 20,000 arguments, to reach y (H^n a2) a3 .. an
     n = 20000
     rest = [Var(2 + k % 3) for k in range(n - 1)]
-    out = run(apply_args(h_tower(n, Var(0)), rest), Strategy.JT, 0, max_state=10**6)
+    with state_budget(10**6):
+        out = run(apply_args(h_tower(n, Var(0)), rest), Strategy.JT, 0)
     assert isinstance(out, Hnf) and out.aux_steps == n
     _, head, args = spine(out.result)
     assert head == Var(0)

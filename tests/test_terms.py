@@ -38,6 +38,7 @@ from oracles import (
     recursive_shift,
     recursive_substitute,
     reference_run,
+    state_budget,
 )
 
 
@@ -356,7 +357,9 @@ DEEP_SHAPES = {
 
 
 @pytest.mark.parametrize("shape", DEEP_SHAPES)
-def test_deep_terms_pass_every_layer_without_recursion(shape, default_recursion_limit):
+def test_deep_terms_pass_every_layer_without_recursion(
+    shape, default_recursion_limit, monkeypatch
+):
     spell = DEEP_SHAPES[shape]
     text = spell("x")
     a = term(text, NAMES)
@@ -387,7 +390,11 @@ def test_deep_terms_pass_every_layer_without_recursion(shape, default_recursion_
     report = lockstep(a, 2)
     assert all(cp.equal for cp in report.checkpoints)
     assert report.verdict in (BothHnf(), BothRunning())
-    row = theorem_check(a, 2, j_fuel_ratio=1)
+    # the rows checked are the machines'; at J's full share of the fuel
+    # the tower's U[J/H] side, J nested 100,000 deep, would take 38 more
+    # beta steps over that nesting for nothing this test asserts
+    monkeypatch.setattr("lambdah.equivalence._J_FUEL_RATIO", 1)
+    row = theorem_check(a, 2)
     assert row.verdict_it == outcomes[Strategy.IT]
     assert row.verdict_jt == outcomes[Strategy.JT]
     if shape == "tower":
@@ -395,18 +402,16 @@ def test_deep_terms_pass_every_layer_without_recursion(shape, default_recursion_
         assert size(a) == 2 * DEPTH + 1
         assert substitute(a, b) == Tower(2 * DEPTH, x)
         # bursts as tall as the tower, each in one contraction
-        budget = 10 * DEPTH
-        # at fuel 0 they are the pure I and J runs
-        for strategy in (Strategy.IT, Strategy.JT):
-            for fuel in (0, 1):
-                assert run(a, strategy, fuel, max_state=budget) == Hnf(x, 0, DEPTH)
-        applied = App(a, y)
-        assert run(applied, Strategy.IT, 1, max_state=budget) == Hnf(
-            App(x, y), 0, DEPTH
-        )
-        assert run(applied, Strategy.JT, 1, max_state=budget) == Hnf(
-            App(x, Tower(DEPTH, y)), 0, DEPTH
-        )
+        with state_budget(10 * DEPTH):
+            # at fuel 0 they are the pure I and J runs
+            for strategy in (Strategy.IT, Strategy.JT):
+                for fuel in (0, 1):
+                    assert run(a, strategy, fuel) == Hnf(x, 0, DEPTH)
+            applied = App(a, y)
+            assert run(applied, Strategy.IT, 1) == Hnf(App(x, y), 0, DEPTH)
+            assert run(applied, Strategy.JT, 1) == Hnf(
+                App(x, Tower(DEPTH, y)), 0, DEPTH
+            )
 
 
 # ---------- sizes and scoping ----------
@@ -481,11 +486,11 @@ def test_fv_matches_reference_on_drawn_terms(t):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(deep_terms(), wide_terms), st.integers(0, 3), st.integers(0, 3))
-def test_shift_keeps_fv_consistent(t, by, cutoff):
-    shifted = shift(t, by, cutoff)
+@given(st.one_of(deep_terms(), wide_terms), st.integers(0, 3))
+def test_shift_keeps_fv_consistent(t, by):
+    shifted = shift(t, by)
     assert shifted.fv == reference_fv(shifted)
-    if reference_fv(t) <= cutoff:
+    if reference_fv(t) == 0:
         assert shifted is t
 
 
@@ -574,7 +579,7 @@ def wrapped_terms(count=400):
     return [wrap_applied_h(t, rng, density=0.4) for t in islice(stream, count)]
 
 
-SHIFTS = ((1, 0), (3, 0), (2, 1), (-1, 2))
+SHIFTS = (1, 2, 3)
 VALUES = (Var(2), Abs(Var(0)), App(Var(1), Tower(2, Var(0))))
 
 
@@ -584,8 +589,8 @@ def assert_walks_match_the_references(t):
     assert image == recursive_extract(t)
     if not t.holds_tower:
         assert image is t
-    for by, cutoff in SHIFTS:
-        assert_same_result(shift(t, by, cutoff), recursive_shift(t, by, cutoff), t)
+    for by in SHIFTS:
+        assert_same_result(shift(t, by), recursive_shift(t, by), t)
     for value in VALUES:
         ours = substitute(t, value)
         assert_same_result(ours, recursive_substitute(t, value), t, value)
@@ -637,15 +642,16 @@ def test_deep_and_wide_terms_pass_every_layer_without_recursion(t):
         copy = term(format_term(t, names), names)
         assert copy == t and hash(copy) == hash(t)
         assert t.holds_tower == any(s.__class__ is Tower for s in subterms(t))
-        assert shift(shift(t, 2, 1), -2, 1) == t
+        assert shift(shift(t, 2), -2) == t
         assert substitute(shift(t, 1), Tower(1, Var(0))) == t
         image = extract(t)
         assert not has_applied_h(image) and extract(image) is image
         # the reference takes a burst one step at a time over the whole
         # spine, so bursts are left to start from small states only
-        for strategy in Strategy:
-            args = (t, strategy, 3)
-            assert run(*args, max_state=64) == reference_run(*args, max_state=64)
+        with state_budget(64):
+            for strategy in Strategy:
+                args = (t, strategy, 3)
+                assert run(*args) == reference_run(*args)
     finally:
         sys.setrecursionlimit(saved)
 
