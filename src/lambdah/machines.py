@@ -53,7 +53,15 @@ takes the whole tower in one contraction and counts its n steps; with
 step.  Outcomes, step counts and budgets are the same either way.
 
 ``fuel`` bounds t-steps only.  Running out of fuel means "unknown", and
-FuelExhausted says nothing about solvability.  I/J-steps need no budget
+FuelExhausted says nothing about solvability.  The machines are
+deterministic, so a run that comes back to a state it held before a
+t-step repeats that period until its fuel runs out.  Without a trace
+``run`` finds the repeat by Brent's cycle finding on one snapshot of the
+state, compared by node count first, then jumps: it adds the t- and aux
+steps of every whole period that fits in the fuel left and takes the
+rest for real, so it stops at the fuel boundary with the counts and the
+final state of the step-by-step run.  A traced run never jumps, so its
+trace lists every step.  I/J-steps need no budget
 of their own: a burst of consecutive auxiliary steps between t-steps
 (at fuel 0 the whole run is one burst) that starts from a state of
 ``size`` nodes takes at most ``size * size // 4`` steps, as the comment
@@ -206,6 +214,12 @@ def j_step(t: Term) -> Term:
 # ---------- machine ----------
 
 
+def _same(a: Term, b: Term) -> bool:
+    # equal terms, the node count first: a cycle's states share their
+    # parts by identity only in some of its phases
+    return a is b or (a.count == b.count and a == b)
+
+
 class Strategy(Enum):
     """Every strategy takes t-steps; the letter before ``t``, if any,
     names its auxiliary family."""
@@ -277,6 +291,15 @@ def run(
     state: Term | None = t
     binders, head, stack = spine(t)
     t_steps = aux_steps = aux_since_t = burst_cap = 0
+    # Brent's cycle finding over the states before t-steps: one snapshot
+    # of the binders, the head, a copy of the stack (the loop changes the
+    # stack in place) and the counts, taken at t-steps 2**k - 1.  A jump
+    # needs two t-steps of fuel past the snapshot, and a trace lists
+    # every step, so neither kind of run compares.
+    seeking = trace is None and fuel > 1
+    snap_stack: list[Term] | None = None
+    snap_binders = snap_t = snap_aux = next_snap = 0
+    snap_head = head
     while True:
         if aux is not None and head.__class__ is Tower:
             if aux_since_t == 0:
@@ -311,6 +334,42 @@ def run(
             aux_since_t += n
             new = _lower(head, n, kind is StepKind.J_WRAP, stack)
         elif head.__class__ is Abs:
+            if seeking:
+                if (
+                    snap_stack is not None
+                    and snap_binders == binders
+                    and len(snap_stack) == len(stack)
+                    and _same(snap_head, head)
+                    and all(map(_same, snap_stack, stack))
+                ):
+                    # The run is back at the snapshot's state, period
+                    # t-steps later, and from here on repeats that period
+                    # for ever:
+                    # - The state before a t-step fixes the rest of the
+                    #   run.  The t-step reads only the state, and the
+                    #   burst after it starts with aux_since_t at 0, so its
+                    #   cap and each contraction are functions of the
+                    #   states it passes.  Equal parts are equal terms, and
+                    #   every step reads terms only by their structure.
+                    # - Overflow and AuxCapExceeded repeat with the period.
+                    #   Each tests a state of the period (its size against
+                    #   MAX_STATE, its burst against the cap that state
+                    #   fixes), and neither fired in the period just run.
+                    # - The aux steps per period are a constant: each burst
+                    #   of the period is a function of its state, so every
+                    #   period takes the aux_steps - snap_aux of this one.
+                    # Only the fuel test reads t_steps.  So whole periods
+                    # add their counts, and the rest, fewer than a period,
+                    # are taken for real up to the fuel boundary.
+                    period = t_steps - snap_t
+                    laps = (fuel - t_steps) // period
+                    t_steps += laps * period
+                    aux_steps += laps * (aux_steps - snap_aux)
+                    seeking = False
+                elif t_steps == next_snap:
+                    snap_binders, snap_head, snap_stack = binders, head, stack.copy()
+                    snap_t, snap_aux = t_steps, aux_steps
+                    next_snap = 2 * t_steps + 1
             if t_steps >= fuel:
                 stop = FuelExhausted
                 break

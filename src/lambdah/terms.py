@@ -21,6 +21,15 @@ applied H, so extraction hands back every subterm without one by
 identity, and ``extraction.has_applied_h`` reads the flag.  Like ``fv``
 it takes no part in equality, hashing or repr.
 
+Every node also carries ``count``, fixed when it is built: its number
+of expanded nodes, every constructor and every H counting one (1 for a
+variable and for H, ``1 + body.count`` for an abstraction,
+``1 + fun.count + arg.count`` for an application, and
+``2 * height + base.count`` for a tower).  ``size`` reads it, and two
+terms with different counts are not equal, which makes it the cheap
+first test of a state comparison in ``machines.run``.  Like the other
+two it takes no part in equality, hashing or repr.
+
 An H-tower ``H (H (.. (H M)))`` is one ``Tower`` node that holds its
 height and its base M.  The J reading of H builds such towers, and a
 JT run can stack 2^k H's after k beta steps, so every layer handles a
@@ -41,7 +50,7 @@ applies.  Head normal forms are the terms whose head is a variable (any
 number of arguments) or a bare H (no arguments at all: an applied H is
 work left to do, not a result).
 
-No walk over a term recurses.  Equality, hashing, ``size``, shifting,
+No walk over a term recurses.  Equality, hashing, shifting,
 substitution and ``subst_const_h`` keep their work on explicit stacks,
 so the depth of a term is bounded by memory, not by the recursion
 limit.  Only ``repr`` and pickling, which Python drives by recursion,
@@ -62,8 +71,8 @@ from typing import Iterable
 # descriptors, which keeps the classes immutable at about the cost of a
 # dataclass constructor.  Equality and hashing are structural, one walk
 # each for every class; repr and ``__match_args__`` behave as a frozen
-# dataclass's would.  ``fv`` and ``holds_tower`` take part in none of
-# them.
+# dataclass's would.  ``fv``, ``holds_tower`` and ``count`` take part in
+# none of them.
 
 
 class _Node:
@@ -142,6 +151,7 @@ class Var(_Node):
     fv: int
 
     holds_tower = False
+    count = 1
 
     def __init__(self, index: int) -> None:
         _set_var_index(self, index)
@@ -155,17 +165,19 @@ class Var(_Node):
 
 
 class Abs(_Node):
-    __slots__ = ("body", "fv", "holds_tower")
+    __slots__ = ("body", "fv", "holds_tower", "count")
     __match_args__ = ("body",)
     body: "Term"
     fv: int
     holds_tower: bool
+    count: int
 
     def __init__(self, body: "Term") -> None:
         _set_abs_body(self, body)
         fv = body.fv
         _set_abs_fv(self, fv - 1 if fv else 0)
         _set_abs_holds_tower(self, body.holds_tower)
+        _set_abs_count(self, body.count + 1)
 
     def __repr__(self) -> str:
         return f"Abs(body={self.body!r})"
@@ -179,6 +191,7 @@ class ConstH(_Node):
     __match_args__ = ()
     fv = 0
     holds_tower = False
+    count = 1
 
     def __repr__(self) -> str:
         return "ConstH()"
@@ -191,12 +204,13 @@ H = ConstH()
 
 
 class App(_Node):
-    __slots__ = ("fun", "arg", "fv", "holds_tower")
+    __slots__ = ("fun", "arg", "fv", "holds_tower", "count")
     __match_args__ = ("fun", "arg")
     fun: "Term"
     arg: "Term"
     fv: int
     holds_tower: bool
+    count: int
 
     def __new__(cls, fun: "Term", arg: "Term") -> "App":
         # H applied to a term is a tower, one level taller if it is one
@@ -210,6 +224,7 @@ class App(_Node):
         f, a = fun.fv, arg.fv
         _set_app_fv(self, f if f > a else a)
         _set_app_holds_tower(self, fun.holds_tower or arg.holds_tower)
+        _set_app_count(self, fun.count + arg.count + 1)
         return self
 
     def __repr__(self) -> str:
@@ -262,10 +277,12 @@ _set_var_fv = Var.fv.__set__
 _set_abs_body = Abs.body.__set__
 _set_abs_fv = Abs.fv.__set__
 _set_abs_holds_tower = Abs.holds_tower.__set__
+_set_abs_count = Abs.count.__set__
 _set_app_fun = App.fun.__set__
 _set_app_arg = App.arg.__set__
 _set_app_fv = App.fv.__set__
 _set_app_holds_tower = App.holds_tower.__set__
+_set_app_count = App.count.__set__
 _new = object.__new__
 
 
@@ -275,6 +292,7 @@ def _tower(height: int, base: "Term") -> Tower:
     _set_app_fun(t, height)  # Tower.height
     _set_app_arg(t, base)  # Tower.base
     _set_app_fv(t, base.fv)
+    _set_app_count(t, 2 * height + base.count)
     return t
 
 
@@ -283,22 +301,9 @@ Term = Var | Abs | App | ConstH
 
 def size(t: Term) -> int:
     """Node count: every constructor, including H, costs one, and a
-    tower counts as the applications and H's it stands for."""
-    n = 0
-    todo = [t]
-    while todo:
-        node = todo.pop()
-        n += 1
-        cls = node.__class__
-        if cls is App:
-            todo.append(node.fun)
-            todo.append(node.arg)
-        elif cls is Abs:
-            todo.append(node.body)
-        elif cls is Tower:
-            n += 2 * node.height - 1
-            todo.append(node.base)
-    return n
+    tower counts as the applications and H's it stands for.  A read of
+    the node's ``count``."""
+    return t.count
 
 
 def is_closed(t: Term) -> bool:

@@ -13,6 +13,8 @@ rebuilds the whole state after it, so it shares only the outcome types
 and ``substitute`` with the unwound machine it checks.  ``state_budget``
 sets the budget ``machines.MAX_STATE`` of both drivers for a block.
 ``count_h_and_apps`` counts the two kinds of node that bound a burst,
+``node_count`` counts every node one at a time, the reference for the
+count each node carries,
 and ``finished_burst`` tells whether a pure run took all of its burst.
 ``recursive_wrap_applied_h`` is the H-wrapper of ``gen`` written by
 recursion, the reference for the order in which it draws its coins, and
@@ -61,7 +63,6 @@ from lambdah.terms import (
     Tower,
     Var,
     apply_args,
-    size,
     substitute,
 )
 
@@ -240,7 +241,7 @@ def reference_run(
     t: Term, strategy: Strategy, fuel: int, *, keep_trace: bool = False
 ) -> MachineOutcome:
     """``machines.run`` by whole-state rewriting: one decomposition per
-    step, one rebuilt state after it, one size walk per burst.  The state
+    step, one rebuilt state after it, one ``node_count`` walk per burst.  The state
     budget is ``machines.MAX_STATE``, read at call time, so a test that
     patches it patches both drivers."""
     trace: list[TraceEntry] | None = [] if keep_trace else None
@@ -254,7 +255,7 @@ def reference_run(
         binders, base, args = decompose(t)
         if contract_aux is not None and isinstance(base, ConstH) and args:
             if aux_since_t == 0:
-                state_size = size(t)
+                state_size = node_count(t)
                 if state_size > machines.MAX_STATE:
                     return Overflow(t, t_steps, frozen(), aux_steps)
                 burst_cap = state_size * state_size // 4
@@ -310,6 +311,21 @@ def count_h_and_apps(t: Term) -> tuple[int, int]:
             case ConstH():
                 h += 1
     return h, a
+
+
+def node_count(t: Term) -> int:
+    """The nodes of t counted one at a time, every tower walked through
+    ``fun`` and ``arg`` as the applications and H's it stands for."""
+    n = 0
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        n += 1
+        if isinstance(node, App):
+            todo += (node.fun, node.arg)
+        elif isinstance(node, Abs):
+            todo.append(node.body)
+    return n
 
 
 def finished_burst(out: MachineOutcome) -> bool:

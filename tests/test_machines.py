@@ -44,6 +44,8 @@ from lambdah.terms import (
     apply_args,
     size,
     spine,
+    subst_const_h,
+    substitute,
 )
 from oracles import count_h_and_apps, finished_burst, reference_run, state_budget
 
@@ -474,6 +476,78 @@ def test_jt_takes_the_duplicators_doubling_tower_in_one_contraction():
         out = run(u, Strategy.JT, 23)
     assert isinstance(out, Overflow)
     assert (out.t_steps, out.aux_steps) == (23, 4_194_304)
+
+
+# ---------- a recurring state jumps to the fuel boundary ----------
+
+# Runs that come back to a state they held before a t-step: Omega with
+# period 1, H Omega w, H (Y I) and its J reading with period 3, and the
+# H-duplicator, which under IT and JT takes one j_drop or i-step per
+# t-step.  Which cycles hold equal states that are not the same objects
+# at the snapshot depends on where the snapshots land; here it is the
+# I reading of the H-duplicator, with period 2.
+H_DUPLICATOR = term("(\\x.H (x x)) (\\x.H (x x))")
+CYCLES = {
+    "Omega": OMEGA,
+    "H Omega w": App(App(H, OMEGA), Var(0)),
+    "H (Y I)": App(H, App(Y, I)),
+    "(H (Y I))[J/H]": subst_const_h(App(H, App(Y, I)), J),
+    "H-duplicator": H_DUPLICATOR,
+    "H-duplicator[I/H]": subst_const_h(H_DUPLICATOR, I),
+}
+
+
+def allow_substitutions(monkeypatch, limit):
+    """From here on ``run`` fails at its ``limit``-th substitution, so a
+    run that misses its jump fails at once rather than taking 10**12
+    steps."""
+    calls = 0
+
+    def counted(body, value):
+        nonlocal calls
+        calls += 1
+        assert calls < limit, f"{limit} substitutions and no jump"
+        return substitute(body, value)
+
+    monkeypatch.setattr(machines, "substitute", counted)
+
+
+@pytest.mark.parametrize("name", CYCLES)
+def test_a_cycle_jump_matches_the_reference_driver(name):
+    t = CYCLES[name]
+    for strategy, fuel in product(Strategy, range(997, 1004)):
+        args = (t, strategy, fuel)
+        assert outcome_text(run, *args) == outcome_text(reference_run, *args), args
+
+
+def test_a_jump_counts_the_aux_steps_of_every_period():
+    for strategy, fuel in product((Strategy.IT, Strategy.JT), (997, 1003, 10**12)):
+        out = run(H_DUPLICATOR, strategy, fuel)
+        assert isinstance(out, FuelExhausted) and out.aux_steps == out.t_steps == fuel
+
+
+@pytest.mark.parametrize("name", CYCLES)
+def test_a_cycle_jumps_to_the_fuel_boundary(monkeypatch, name):
+    for strategy in Strategy:
+        allow_substitutions(monkeypatch, 20)
+        out = run(CYCLES[name], strategy, 10**12)
+        if not isinstance(out, Hnf):
+            assert isinstance(out, FuelExhausted) and out.t_steps == 10**12, strategy
+
+
+def test_a_traced_cycle_lists_every_step():
+    for strategy in Strategy:
+        out = run(OMEGA, strategy, 50, keep_trace=True)
+        assert isinstance(out, FuelExhausted) and len(out.trace) == 50
+
+
+def test_growing_states_take_every_step():
+    # the duplicator's J side and its JT run never repeat a state
+    u = term(DOUBLER)
+    for t in (u, subst_const_h(u, J)):
+        for strategy in Strategy:
+            args = (t, strategy, 300)
+            assert outcome_text(run, *args) == outcome_text(reference_run, *args)
 
 
 def test_an_outcome_without_a_step_holds_the_input_itself():

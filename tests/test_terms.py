@@ -32,6 +32,7 @@ from lambdah.terms import (
 from oracles import (
     count_terms,
     decompose,
+    node_count,
     oracle_substitute,
     recompose,
     recursive_extract,
@@ -421,6 +422,31 @@ def test_size_counts_every_constructor():
     assert size(H) == 1
     assert size(term("\\x.x")) == 2
     assert size(term("H x y")) == 5
+
+
+def test_the_node_count_matches_a_walking_count():
+    for t in enumerate_terms(7, free_vars=2):
+        assert t.count == size(t) == node_count(t)
+    for t in wrapped_terms():
+        for height in (0, 1, 2, 40):
+            towered = Tower(height, t)
+            assert all(s.count == node_count(s) for s in subterms(towered))
+            assert size(towered) == node_count(towered)
+
+
+def test_the_node_count_of_a_tall_tower_is_read_not_walked():
+    base = term("\\x.x y")
+    t = App(Tower(2**61, base), Var(0))
+    assert Tower(2**61, base).count == 2**62 + size(base)
+    assert size(t) == 2**62 + size(base) + 2
+
+
+def test_the_node_count_is_frozen_and_survives_pickling():
+    for t in (Var(3), H, term("\\x.x y"), term("H (H (x H))"), Tower(2**61, H)):
+        copy = pickle.loads(pickle.dumps(t))
+        assert copy == t and copy.count == t.count
+        with pytest.raises(FrozenInstanceError):
+            t.count = 7
 
 
 def test_scoping_helpers():
