@@ -10,8 +10,6 @@ from .equivalence import (
     AgreementRow,
     BothHnf,
     BothRunning,
-    Checkpoint,
-    CorpusEntry,
     Diverged,
     EMismatch,
     InvalidTrace,
@@ -23,10 +21,9 @@ from .equivalence import (
     lockstep,
     read_corpus,
     replay_j_trace,
-    solved,
     theorem_check,
 )
-from .extraction import EShape, ShapeViolation, classify, extract, has_applied_h
+from .extraction import EShape, ShapeViolation, classify, extract
 from .gen import (
     GenConfig,
     enumerate_terms,
@@ -43,10 +40,8 @@ from .machines import (
     FuelExhausted,
     Hnf,
     MachineOutcome,
-    NotAJRedex,
-    NotAnIRedex,
-    NotATRedex,
     Overflow,
+    StepError,
     StepKind,
     Strategy,
     TraceEntry,
@@ -71,7 +66,6 @@ from .terms import (
     Tower,
     Var,
     apply_args,
-    is_closed,
     shift,
     size,
     spine,
@@ -81,15 +75,14 @@ from .terms import (
 
 __all__ = [
     "Abs", "AgreementRow", "App", "AuxCapExceeded", "BUILTINS", "BothHnf",
-    "BothRunning", "Checkpoint", "ConstH", "CorpusEntry", "Diverged",
-    "EMismatch", "EShape", "FuelExhausted", "G", "GenConfig", "H", "Hnf", "I",
-    "InvalidTrace", "J", "LiftWitness", "LockstepReport", "MachineOutcome",
-    "NotAJRedex", "NotATRedex", "NotAnIRedex", "OMEGA", "Overflow",
-    "ParseError", "ShapeViolation", "StepKind", "Strategy", "SuiteReport",
-    "Term", "Tower", "TraceEntry", "UnboundVariable", "Var", "Y", "apply_args",
-    "classify", "enumerate_terms", "extract", "format_term", "has_applied_h",
-    "i_step", "is_closed", "j_step", "lemma_suite", "lift_j_trace", "lockstep",
+    "BothRunning", "ConstH", "Diverged", "EMismatch", "EShape",
+    "FuelExhausted", "G", "GenConfig", "H", "Hnf", "I", "InvalidTrace", "J",
+    "LiftWitness", "LockstepReport", "MachineOutcome", "OMEGA", "Overflow",
+    "ParseError", "ShapeViolation", "StepError", "StepKind", "Strategy",
+    "SuiteReport", "Term", "Tower", "TraceEntry", "UnboundVariable", "Var",
+    "Y", "apply_args", "classify", "enumerate_terms", "extract", "format_term",
+    "i_step", "j_step", "lemma_suite", "lift_j_trace", "lockstep",
     "parse_term", "read_corpus", "replay_j_trace", "run", "shift", "size",
-    "solved", "spine", "subst_const_h", "substitute", "t_step", "term_stream",
+    "spine", "subst_const_h", "substitute", "t_step", "term_stream",
     "theorem_check", "wrap_applied_h",
 ]

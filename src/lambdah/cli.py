@@ -2,8 +2,7 @@
 
     lambdah fmt FILE                 reformat a file of terms
     lambdah extract TERM             print the extraction image
-    lambdah reduce TERM              run a head machine
-    lambdah solvable TERM            head reduction verdict
+    lambdah reduce TERM              run a head machine (t: head reduction)
     lambdah lockstep TERM            IT vs JT comparison
     lambdah check                    invariant suite over generated corpora
     lambdah corpus FILE              context agreement report
@@ -110,17 +109,6 @@ def _cmd_reduce(args) -> int:
     else:
         print(f"fuel exhausted after {outcome.t_steps} t-steps")
         print(format_term(outcome.last, names))
-    return 0
-
-
-def _cmd_solvable(args) -> int:
-    term, names = _read_term(args.term)
-    outcome = run(term, Strategy.T_HEAD, args.fuel)
-    if isinstance(outcome, Hnf):
-        print(f"hnf after {outcome.t_steps} t-steps")
-        print(format_term(outcome.result, names))
-    else:
-        print(f"unknown: fuel exhausted after {outcome.t_steps} t-steps")
     return 0
 
 
@@ -258,11 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", help="print every step")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_reduce)
-
-    p = sub.add_parser("solvable", help="head-reduce by t-steps alone")
-    p.add_argument("term")
-    p.add_argument("--fuel", type=_nat, default=1000)
-    p.set_defaults(fn=_cmd_solvable)
 
     p = sub.add_parser("lockstep", help="compare the IT and JT machines")
     p.add_argument("term")

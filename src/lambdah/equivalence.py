@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Iterable, Sequence
 
-from .extraction import ShapeViolation, classify, extract, has_applied_h
+from .extraction import ShapeViolation, classify, extract
 from .gen import wrap_applied_h
 from .machines import (
     BUILTINS,
@@ -54,16 +54,11 @@ from .terms import (
     Tower,
     Var,
     apply_args,
-    is_closed,
     size,
     spine,
     subst_const_h,
     substitute,
 )
-
-
-def solved(outcome: MachineOutcome) -> bool:
-    return isinstance(outcome, Hnf)
 
 
 # ---------- lockstep comparison ----------
@@ -195,7 +190,7 @@ class AgreementRow:
 
     @property
     def definite(self) -> bool:
-        return solved(self.verdict_i) and solved(self.verdict_j)
+        return isinstance(self.verdict_i, Hnf) and isinstance(self.verdict_j, Hnf)
 
     @property
     def bridge_i_ok(self) -> bool:
@@ -211,7 +206,9 @@ def _bridges(machine: MachineOutcome, substituted: MachineOutcome) -> bool:
     reach a head normal form or neither does.  A machine side that
     outgrew the state budget is unknown: it neither confirms nor refutes
     the other side."""
-    return isinstance(machine, Overflow) or solved(machine) == solved(substituted)
+    return isinstance(machine, Overflow) or (
+        isinstance(machine, Hnf) == isinstance(substituted, Hnf)
+    )
 
 
 # Head reduction of U[J/H] simulates each J-step of the machine by a
@@ -240,12 +237,12 @@ def theorem_check(u: Term, fuel: int) -> AgreementRow:
     verdict_j = run(subst_const_h(u, J), Strategy.T_HEAD, fuel * _J_FUEL_RATIO)
     verdict_it = run(u, Strategy.IT, fuel)
     verdict_jt = run(u, Strategy.JT, fuel)
-    agree = solved(verdict_i) == solved(verdict_j)
+    agree = isinstance(verdict_i, Hnf) == isinstance(verdict_j, Hnf)
     return AgreementRow(u, verdict_i, verdict_j, verdict_it, verdict_jt, agree)
 
 
 def verdict_word(outcome: MachineOutcome) -> str:
-    return "hnf" if solved(outcome) else "unknown"
+    return "hnf" if isinstance(outcome, Hnf) else "unknown"
 
 
 def agreement_row_json(row: AgreementRow, free_vars: Sequence[str] = ()) -> str:
@@ -267,7 +264,9 @@ def agreement_tally(rows: Sequence[AgreementRow]) -> dict[str, int]:
         "contexts": len(rows),
         "definite": sum(1 for r in rows if r.definite),
         "both_unknown": sum(
-            1 for r in rows if not solved(r.verdict_i) and not solved(r.verdict_j)
+            1
+            for r in rows
+            if not isinstance(r.verdict_i, Hnf) and not isinstance(r.verdict_j, Hnf)
         ),
         "disagreements": sum(1 for r in rows if not r.agree),
     }
@@ -470,7 +469,7 @@ def _extract_shape(t: Term):
 
 
 def _extract_no_applied_h(t: Term):
-    return None if not has_applied_h(extract(t)) else _show(t)
+    return None if not extract(t).holds_tower else _show(t)
 
 
 def _make_pair_congruence(rng: random.Random) -> Callable:
@@ -571,16 +570,16 @@ def _make_paired_t_step(rng: random.Random) -> Callable:
 
 def _make_application_solvability(fuel: int) -> Callable:
     def check(t: Term):
-        if not is_closed(t):
+        if t.fv:
             return _SKIP
         first = run(t, Strategy.T_HEAD, fuel)
-        if not solved(first):
+        if not isinstance(first, Hnf):
             return _SKIP
         bigger = 2 * fuel + 100
         for value in (I, H):
             whole = run(App(t, value), Strategy.T_HEAD, bigger)
             via_hnf = run(App(first.result, value), Strategy.T_HEAD, bigger)
-            if solved(whole) != solved(via_hnf):
+            if isinstance(whole, Hnf) != isinstance(via_hnf, Hnf):
                 return f"{_show(t)} applied to {_show(value)}"
         return None
 
@@ -760,7 +759,10 @@ def lemma_suite(
         cpus = os.cpu_count() or 1
     jobs = min(cpus, _MAX_JOBS)
     terms = list(corpus)
-    wanted = set(groups) if groups else {"extraction", "machines", "equivalence"}
+    every = {"extraction", "machines", "equivalence"}
+    wanted = set(groups) if groups else every
+    if wanted - every:
+        raise ValueError(f"unknown check group: {', '.join(sorted(wanted - every))}")
     rng = random.Random(seed)
     pair_congruence = _make_pair_congruence(rng)
     paired_t_step = _make_paired_t_step(rng)

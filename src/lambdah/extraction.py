@@ -111,13 +111,3 @@ def classify(image: Term) -> EShape:
         raise ShapeViolation(image)
     return EShape.LAMBDA_H
 
-
-def has_applied_h(t: Term) -> bool:
-    """True if any application node's operator spine ends in H.
-
-    Extraction images must answer False everywhere, not just at the
-    root; H may survive extraction only in argument position.  An
-    applied H is always the bottom of a tower, so this is the flag
-    ``holds_tower`` that every node carries.
-    """
-    return t.holds_tower

@@ -139,19 +139,7 @@ def trace_json(trace: Sequence[TraceEntry], free_vars: Sequence[str] = ()) -> It
 
 
 class StepError(Exception):
-    pass
-
-
-class NotATRedex(StepError):
-    pass
-
-
-class NotAnIRedex(StepError):
-    pass
-
-
-class NotAJRedex(StepError):
-    pass
+    """A single step asked of a term whose head is not its redex."""
 
 
 class AuxCapExceeded(Exception):
@@ -190,7 +178,7 @@ def t_step(t: Term) -> Term:
     """One head beta step."""
     binders, head, stack = spine(t)
     if head.__class__ is not Abs:
-        raise NotATRedex(f"head is not a beta redex: {format_term(t)}")
+        raise StepError(f"head is not a beta redex: {format_term(t)}")
     return _readback(binders, substitute(head.body, stack.pop()), stack)
 
 
@@ -198,7 +186,7 @@ def i_step(t: Term) -> Term:
     """Drop the head H in front of its arguments."""
     binders, head, stack = spine(t)
     if head.__class__ is not Tower:
-        raise NotAnIRedex(f"head is not an applied H: {format_term(t)}")
+        raise StepError(f"head is not an applied H: {format_term(t)}")
     return _readback(binders, _lower(head, 1, False, stack), stack)
 
 
@@ -207,7 +195,7 @@ def j_step(t: Term) -> Term:
     only one."""
     binders, head, stack = spine(t)
     if head.__class__ is not Tower:
-        raise NotAJRedex(f"head is not an applied H: {format_term(t)}")
+        raise StepError(f"head is not an applied H: {format_term(t)}")
     return _readback(binders, _lower(head, 1, bool(stack), stack), stack)
 
 

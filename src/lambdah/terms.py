@@ -18,8 +18,8 @@ iff a ``Tower`` (below) occurs in it (False for a variable and for H,
 True for a tower, and for an abstraction or an application whatever
 its children say).  In canonical form that is whether the term holds an
 applied H, so extraction hands back every subterm without one by
-identity, and ``extraction.has_applied_h`` reads the flag.  Like ``fv``
-it takes no part in equality, hashing or repr.
+identity, and an image holds no applied H exactly when the flag is
+False.  Like ``fv`` it takes no part in equality, hashing or repr.
 
 Every node also carries ``count``, fixed when it is built: its number
 of expanded nodes, every constructor and every H counting one (1 for a
@@ -306,10 +306,6 @@ def size(t: Term) -> int:
     return t.count
 
 
-def is_closed(t: Term) -> bool:
-    return t.fv == 0
-
-
 # ---------- the spine ----------
 
 
@@ -446,7 +442,7 @@ def subst_const_h(t: Term, m: Term) -> Term:
 
     A subterm without H comes back as itself.
     """
-    if not is_closed(m):
+    if m.fv:
         raise ValueError("replacement for H must be closed")
     done: list[Term] = []  # replaced subterms not yet taken by their parent
     # Work, next item last: a term to replace, or an App, Abs or Tower in

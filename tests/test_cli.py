@@ -73,16 +73,6 @@ def test_reduce_overflow_json(capsys):
     assert record["aux_steps"] == 1024
 
 
-def test_solvable_reports_the_hnf(capsys):
-    assert main(["solvable", "(\\x.x) y"]) == 0
-    assert lines(capsys) == ["hnf after 1 t-steps", "y"]
-
-
-def test_solvable_reports_unknown_never_unsolvable(capsys):
-    assert main(["solvable", "Omega", "--fuel", "10"]) == 0
-    assert lines(capsys) == ["unknown: fuel exhausted after 10 t-steps"]
-
-
 # ---------- lockstep ----------
 
 
@@ -329,6 +319,10 @@ def test_usage_errors_exit_2(capsys):
     # it fails loudly instead of running with another share
     assert main(["corpus", "contexts.txt", "--j-fuel-ratio", "1"]) == 2
     assert "unrecognized arguments: --j-fuel-ratio 1" in capsys.readouterr().err
+    # head reduction alone is reduce --strategy t; a script that still
+    # asks solvable fails loudly instead of finding another command
+    assert main(["solvable", "Omega"]) == 2
+    assert "invalid choice: 'solvable'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -336,7 +330,6 @@ def test_usage_errors_exit_2(capsys):
     [
         ["reduce", "x", "--fuel", "-1"],
         ["reduce", "x", "--fuel", "ten"],
-        ["solvable", "x", "--fuel", "-1"],
         ["lockstep", "x", "--max-t", "-1"],
         # a false counterexample and exit status 1 before the check
         ["check", "--max-size", "1", "--count", "0", "--fuel", "-1"],

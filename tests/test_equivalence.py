@@ -24,7 +24,6 @@ from lambdah.equivalence import (
     lockstep,
     read_corpus,
     replay_j_trace,
-    solved,
     theorem_check,
 )
 from lambdah.gen import GenConfig, enumerate_terms, term_stream, wrap_applied_h
@@ -54,15 +53,6 @@ def j_trace(text, frees=None):
     out = run(term(text, frees), Strategy.JT, 0, keep_trace=True)
     assert isinstance(out, Hnf)
     return out.trace
-
-
-# ---------- verdict helpers ----------
-
-
-def test_solved_distinguishes_hnf_from_fuel_exhaustion():
-    assert solved(Hnf(H, 0, 0, None))
-    assert not solved(FuelExhausted(OMEGA, 10, None))
-    assert not solved(Overflow(OMEGA, 10, None))
 
 
 # ---------- lockstep ----------
@@ -207,7 +197,7 @@ def test_theorem_row_for_the_bare_constant():
 
 def test_theorem_row_with_both_sides_unknown_agrees_vacuously():
     row = theorem_check(App(H, OMEGA), 20)
-    assert not solved(row.verdict_i) and not solved(row.verdict_j)
+    assert not isinstance(row.verdict_i, Hnf) and not isinstance(row.verdict_j, Hnf)
     assert row.agree
     assert not row.definite
 
@@ -423,6 +413,12 @@ def test_lemma_suite_group_filter():
     report = lemma_suite(enumerate_terms(3, free_vars=1), groups=["extraction"])
     assert len(report.results) == 6
     assert all(r.group == "extraction" for r in report.results)
+
+
+def test_lemma_suite_rejects_an_unknown_group():
+    # a misspelt group would select no check, and an empty report is ok
+    with pytest.raises(ValueError, match="unknown check group: extration"):
+        lemma_suite([H], groups=["extration", "machines"])
 
 
 def test_lemma_suite_reports_counterexamples_when_extraction_is_broken(monkeypatch):

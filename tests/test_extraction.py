@@ -10,7 +10,6 @@ from lambdah.extraction import (
     ShapeViolation,
     classify,
     extract,
-    has_applied_h,
 )
 from lambdah.gen import GenConfig, enumerate_terms, wrap_applied_h
 from lambdah.syntax import format_term, parse_term
@@ -103,11 +102,11 @@ def test_every_image_classifies_without_violation():
 def test_images_have_no_applied_h_anywhere():
     # H survives extraction only as an argument, never as an operator,
     # at any depth of the image
-    assert has_applied_h(term("H x"))
-    assert has_applied_h(term("\\x.x (H y z)"))
-    assert not has_applied_h(term("\\x.x H"))
+    assert term("H x").holds_tower
+    assert term("\\x.x (H y z)").holds_tower
+    assert not term("\\x.x H").holds_tower
     for t in enumerate_terms(6, free_vars=1):
-        assert not has_applied_h(extract(t))
+        assert not extract(t).holds_tower
 
 
 # ---------- interaction with substitution ----------

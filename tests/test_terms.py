@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambdah.equivalence import BothHnf, BothRunning, lockstep, theorem_check
-from lambdah.extraction import extract, has_applied_h
+from lambdah.extraction import extract
 from lambdah.gen import GenConfig, enumerate_terms, term_stream, wrap_applied_h
 from lambdah.machines import I, Hnf, Strategy, run, t_step
 from lambdah.syntax import format_term, parse_term
@@ -22,7 +22,6 @@ from lambdah.terms import (
     H,
     Tower,
     Var,
-    is_closed,
     shift,
     size,
     spine,
@@ -233,7 +232,7 @@ def test_substitute_matches_named_oracle_on_open_redexes():
         for body, value in _redexes(t):
             assert substitute(body, value) == oracle_substitute(body, value)
             checked += 1
-            open_values += not is_closed(value)
+            open_values += value.fv > 0
             decremented += body.fv > 1
     assert checked > 1000
     assert open_values > 500
@@ -375,13 +374,13 @@ def test_deep_terms_pass_every_layer_without_recursion(
     with_h = substitute(a, H)
     assert with_h == term(spell("H"), NAMES[1:])
 
-    assert has_applied_h(a) == (shape == "tower")
+    assert a.holds_tower == (shape == "tower")
     if shape == "tower":
         assert extract(a) == Var(0)
     else:
         assert extract(a) is a
     image = extract(with_h)
-    assert not has_applied_h(image) and extract(image) is image
+    assert not image.holds_tower and extract(image) is image
 
     assert t_step(App(Abs(a), H)) == with_h
     outcomes = {}
@@ -450,8 +449,7 @@ def test_the_node_count_is_frozen_and_survives_pickling():
 
 
 def test_scoping_helpers():
-    assert is_closed(term("\\x.x"))
-    assert not is_closed(term("x y"))
+    assert term("\\x.x").fv == 0
     assert term("x y").fv == 2
     assert term("x y").fv <= 2
     assert not term("x y").fv <= 1
@@ -508,7 +506,6 @@ def test_fv_matches_reference_on_enumerated_terms():
 @given(st.one_of(deep_terms(), wide_terms))
 def test_fv_matches_reference_on_drawn_terms(t):
     assert t.fv == reference_fv(t)
-    assert is_closed(t) == (reference_fv(t) == 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -671,7 +668,7 @@ def test_deep_and_wide_terms_pass_every_layer_without_recursion(t):
         assert shift(shift(t, 2), -2) == t
         assert substitute(shift(t, 1), Tower(1, Var(0))) == t
         image = extract(t)
-        assert not has_applied_h(image) and extract(image) is image
+        assert not image.holds_tower and extract(image) is image
         # the reference takes a burst one step at a time over the whole
         # spine, so bursts are left to start from small states only
         with state_budget(64):
