@@ -25,17 +25,11 @@ from .equivalence import (
 )
 from .extraction import EShape, ShapeViolation, classify, extract
 from .gen import (
-    GenConfig,
     enumerate_terms,
     term_stream,
     wrap_applied_h,
 )
 from .machines import (
-    BUILTINS,
-    G,
-    I,
-    J,
-    OMEGA,
     AuxCapExceeded,
     FuelExhausted,
     Hnf,
@@ -45,19 +39,23 @@ from .machines import (
     StepKind,
     Strategy,
     TraceEntry,
-    Y,
     i_step,
     j_step,
     run,
     t_step,
 )
 from .syntax import (
+    BUILTINS,
     ParseError,
     UnboundVariable,
     format_term,
     parse_term,
 )
 from .terms import (
+    G,
+    I,
+    J,
+    OMEGA,
     Abs,
     App,
     ConstH,
@@ -65,6 +63,7 @@ from .terms import (
     Term,
     Tower,
     Var,
+    Y,
     apply_args,
     shift,
     size,
@@ -76,7 +75,7 @@ from .terms import (
 __all__ = [
     "Abs", "AgreementRow", "App", "AuxCapExceeded", "BUILTINS", "BothHnf",
     "BothRunning", "ConstH", "Diverged", "EMismatch", "EShape",
-    "FuelExhausted", "G", "GenConfig", "H", "Hnf", "I", "InvalidTrace", "J",
+    "FuelExhausted", "G", "H", "Hnf", "I", "InvalidTrace", "J",
     "LiftWitness", "LockstepReport", "MachineOutcome", "OMEGA", "Overflow",
     "ParseError", "ShapeViolation", "StepError", "StepKind", "Strategy",
     "SuiteReport", "Term", "Tower", "TraceEntry", "UnboundVariable", "Var",

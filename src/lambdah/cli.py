@@ -36,9 +36,8 @@ from .equivalence import (
     verdict_word,
 )
 from .extraction import extract
-from .gen import GenConfig, enumerate_terms, term_stream
+from .gen import enumerate_terms, term_stream
 from .machines import (
-    BUILTINS,
     AuxCapExceeded,
     Hnf,
     Overflow,
@@ -49,10 +48,6 @@ from .machines import (
 from .syntax import ParseError, format_term, parse_term, source_lines
 
 
-def _read_term(text: str):
-    return parse_term(text, constants=BUILTINS)
-
-
 # ---------- subcommands ----------
 
 
@@ -60,7 +55,7 @@ def _cmd_fmt(args) -> int:
     source = sys.stdin if args.file == "-" else open(args.file, encoding="utf-8")
     try:
         for line in source_lines(source):
-            term, names = _read_term(line)
+            term, names = parse_term(line)
             print(format_term(term, names))
     finally:
         if source is not sys.stdin:  # the caller's stdin stays open
@@ -69,13 +64,13 @@ def _cmd_fmt(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    term, names = _read_term(args.term)
+    term, names = parse_term(args.term)
     print(format_term(extract(term), names))
     return 0
 
 
 def _cmd_reduce(args) -> int:
-    term, names = _read_term(args.term)
+    term, names = parse_term(args.term)
     strategy = Strategy(args.strategy)
     outcome = run(term, strategy, args.fuel, keep_trace=args.trace)
     if args.trace and outcome.trace:
@@ -113,7 +108,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_lockstep(args) -> int:
-    term, names = _read_term(args.term)
+    term, names = parse_term(args.term)
     report = lockstep(term, args.max_t)
     if args.json:
         for cp in report.checkpoints:
@@ -161,8 +156,8 @@ def _cmd_lockstep(args) -> int:
 
 def _cmd_check(args) -> int:
     corpus = list(enumerate_terms(args.max_size, free_vars=1))
-    cfg = GenConfig(seed=args.seed, max_size=args.random_size, free_vars=2)
-    corpus.extend(islice(term_stream(cfg), args.count))
+    stream = term_stream(args.seed, args.random_size, free_vars=2)
+    corpus.extend(islice(stream, args.count))
     groups = None if args.suite == "all" else [args.suite]
     report = lemma_suite(
         corpus, seed=args.seed, fuel=args.fuel, max_t=args.max_t, groups=groups

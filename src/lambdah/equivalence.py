@@ -30,10 +30,7 @@ from typing import BinaryIO, Callable, Iterable, Sequence
 from .extraction import ShapeViolation, classify, extract
 from .gen import wrap_applied_h
 from .machines import (
-    BUILTINS,
     Hnf,
-    I,
-    J,
     MachineOutcome,
     Overflow,
     StepKind,
@@ -50,6 +47,8 @@ from .terms import (
     App,
     ConstH,
     H,
+    I,
+    J,
     Term,
     Tower,
     Var,
@@ -284,11 +283,11 @@ class CorpusEntry:
 
 def read_corpus(path: str | os.PathLike) -> list[CorpusEntry]:
     """One context per line; '#' starts a comment; blank lines ignored.
-    The uppercase names of BUILTINS expand to their combinators."""
+    The uppercase names I, J, Y, G and Omega expand to their combinators."""
     entries: list[CorpusEntry] = []
     with open(path, encoding="utf-8") as fh:
         for line in source_lines(fh):
-            term, names = parse_term(line, constants=BUILTINS)
+            term, names = parse_term(line)
             entries.append(CorpusEntry(line, names, term))
     return entries
 
@@ -421,13 +420,9 @@ class SuiteReport:
         return all(r.ok for r in self.results)
 
 
-def _show(t: Term) -> str:
-    return format_term(t)
-
-
 def _extract_idempotent(t: Term):
     image = extract(t)
-    return None if extract(image) == image else _show(t)
+    return None if extract(image) == image else format_term(t)
 
 
 def _extract_collapse(t: Term):
@@ -444,7 +439,7 @@ def _extract_collapse(t: Term):
         operator = apply_args(base, args[:split])
         rebuilt = apply_args(extract(operator), [extract(a) for a in args[split:]])
         if extract(rebuilt) != image:
-            return f"{_show(t)} split at {split}"
+            return f"{format_term(t)} split at {split}"
     return None
 
 
@@ -456,7 +451,7 @@ def _extract_substitution(t: Term):
         lhs = extract(substitute(t.body, value))
         rhs = extract(substitute(body_image, value_image))
         if lhs != rhs:
-            return f"{_show(t)} with {_show(value)}"
+            return f"{format_term(t)} with {format_term(value)}"
     return None
 
 
@@ -464,12 +459,12 @@ def _extract_shape(t: Term):
     try:
         classify(extract(t))
     except ShapeViolation:
-        return _show(t)
+        return format_term(t)
     return None
 
 
 def _extract_no_applied_h(t: Term):
-    return None if not extract(t).holds_tower else _show(t)
+    return None if not extract(t).holds_tower else format_term(t)
 
 
 def _make_pair_congruence(rng: random.Random) -> Callable:
@@ -483,7 +478,7 @@ def _make_pair_congruence(rng: random.Random) -> Callable:
         lhs = extract(substitute(left_body, value))
         rhs = extract(substitute(right_body, wrapped_value))
         if lhs != rhs:
-            return f"{_show(t)} with {_show(value)}"
+            return f"{format_term(t)} with {format_term(value)}"
         return None
 
     return check
@@ -494,9 +489,9 @@ def _i_step_invariant(t: Term):
         return _SKIP
     stepped = i_step(t)
     if size(stepped) != size(t) - 2:
-        return f"{_show(t)}: size {size(t)} -> {size(stepped)}"
+        return f"{format_term(t)}: size {size(t)} -> {size(stepped)}"
     if extract(stepped) != extract(t):
-        return f"{_show(t)}: image moved"
+        return f"{format_term(t)}: image moved"
     return None
 
 
@@ -505,7 +500,7 @@ def _j_step_invariant(t: Term):
         return _SKIP
     stepped = j_step(t)
     if extract(stepped) != extract(t):
-        return f"{_show(t)}: image moved"
+        return f"{format_term(t)}: image moved"
     return None
 
 
@@ -536,10 +531,10 @@ def _pure_i_terminates(t: Term):
     out = run(t, Strategy.IT, 0, keep_trace=True)
     # each I-step removes two nodes and at least one is left
     if out.aux_steps > size(t) // 2:
-        return f"{_show(t)}: {out.aux_steps} I-steps from {size(t)} nodes"
+        return f"{format_term(t)}: {out.aux_steps} I-steps from {size(t)} nodes"
     for entry in out.trace:
         if size(entry.after) != size(entry.before) - 2:
-            return f"{_show(t)}: non-shrinking I-step"
+            return f"{format_term(t)}: non-shrinking I-step"
     return None
 
 
@@ -547,10 +542,10 @@ def _pure_j_terminates(t: Term):
     out = run(t, Strategy.JT, 0, keep_trace=True)
     bound = _h_times_apps(t)
     if out.aux_steps > bound:
-        return f"{_show(t)}: {out.aux_steps} J-steps, more than h * a = {bound}"
+        return f"{format_term(t)}: {out.aux_steps} J-steps, more than h * a = {bound}"
     for entry in out.trace:
         if extract(entry.after) != extract(entry.before):
-            return f"{_show(t)}: image moved"
+            return f"{format_term(t)}: image moved"
     return None
 
 
@@ -562,7 +557,7 @@ def _make_paired_t_step(rng: random.Random) -> Callable:
         if spine(partner)[1].__class__ is not Abs:
             return _SKIP
         if extract(t_step(t)) != extract(t_step(partner)):
-            return f"{_show(t)} vs {_show(partner)}"
+            return f"{format_term(t)} vs {format_term(partner)}"
         return None
 
     return check
@@ -580,7 +575,7 @@ def _make_application_solvability(fuel: int) -> Callable:
             whole = run(App(t, value), Strategy.T_HEAD, bigger)
             via_hnf = run(App(first.result, value), Strategy.T_HEAD, bigger)
             if isinstance(whole, Hnf) != isinstance(via_hnf, Hnf):
-                return f"{_show(t)} applied to {_show(value)}"
+                return f"{format_term(t)} applied to {format_term(value)}"
         return None
 
     return check
@@ -590,7 +585,7 @@ def _make_determinism(fuel: int) -> Callable:
     def check(t: Term):
         for strategy in (Strategy.IT, Strategy.JT):
             if run(t, strategy, fuel) != run(t, strategy, fuel):
-                return f"{_show(t)} under {strategy.value}"
+                return f"{format_term(t)} under {strategy.value}"
         return None
 
     return check
@@ -601,12 +596,12 @@ def _make_lockstep(max_t: int) -> Callable:
         report = lockstep(t, max_t)
         match report.verdict:
             case EMismatch(step):
-                return f"{_show(t)}: image mismatch at t-step {step}"
+                return f"{format_term(t)}: image mismatch at t-step {step}"
             case Diverged(step):
-                return f"{_show(t)}: one side halted at t-step {step}"
+                return f"{format_term(t)}: one side halted at t-step {step}"
             case BothHnf() if report.t_steps_i != report.t_steps_j:
                 return (
-                    f"{_show(t)}: t-step counts differ "
+                    f"{format_term(t)}: t-step counts differ "
                     f"({report.t_steps_i} vs {report.t_steps_j})"
                 )
         return None
@@ -618,11 +613,11 @@ def _make_context_agreement(fuel: int) -> Callable:
     def check(t: Term):
         row = theorem_check(t, fuel)
         if not row.agree:
-            return f"{_show(t)}: substitution verdicts disagree"
+            return f"{format_term(t)}: substitution verdicts disagree"
         if not row.bridge_i_ok:
-            return f"{_show(t)}: IT machine disagrees with I-substitution"
+            return f"{format_term(t)}: IT machine disagrees with I-substitution"
         if not row.bridge_j_ok:
-            return f"{_show(t)}: JT machine disagrees with J-substitution"
+            return f"{format_term(t)}: JT machine disagrees with J-substitution"
         return None
 
     return check
@@ -640,7 +635,7 @@ def _lift_replays(t: Term):
     try:
         lift_j_trace(prefix, (I,))
     except InvalidTrace as exc:
-        return f"{_show(t)}: {exc}"
+        return f"{format_term(t)}: {exc}"
     return None
 
 
@@ -666,7 +661,7 @@ def _tally(fn: Callable, terms: Sequence[Term]) -> tuple[int, int, int, list[str
         try:
             outcome = fn(t)
         except Exception as exc:  # a violation surfacing as an error
-            outcome = f"{_show(t)}: {type(exc).__name__}: {exc}"
+            outcome = f"{format_term(t)}: {type(exc).__name__}: {exc}"
         if outcome is _SKIP:
             skipped += 1
             continue

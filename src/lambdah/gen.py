@@ -5,29 +5,25 @@ and canonical within each size (variables by index, then H, then
 abstractions, then applications by operator size), so two runs with the
 same bounds produce the same stream, each term exactly once.
 
-Random generation is a pure function of GenConfig: the same config
-yields bit-identical streams.  ``h_weight`` is the probability that a
-leaf comes out as H rather than a variable; in an empty context every
-leaf is forced to H regardless.
+Random generation is a pure function of its seed, size and number of
+free variables: the same three yield bit-identical streams.
+``H_WEIGHT`` is the probability that a leaf comes out as H rather than
+a variable; in an empty context every leaf is forced to H regardless.
+``WRAP_DENSITY`` is the probability that ``wrap_applied_h`` wraps an
+unprotected subterm.  No command sets either; the tests patch them.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterator
 
 # unused here, but kept as the name the benchmark's tracer patches
 from .extraction import extract  # noqa: F401
 from .terms import Abs, App, H, Term, Var
 
-
-@dataclass(frozen=True, slots=True)
-class GenConfig:
-    seed: int
-    max_size: int
-    free_vars: int = 0
-    h_weight: float = 0.3
+H_WEIGHT = 0.3
+WRAP_DENSITY = 0.25
 
 
 # ---------- exhaustive enumeration ----------
@@ -61,38 +57,36 @@ def enumerate_terms(max_size: int, free_vars: int = 0) -> Iterator[Term]:
 # ---------- random streams ----------
 
 
-def _random_term(rng: random.Random, budget: int, free: int, h_weight: float) -> Term:
+def _random_term(rng: random.Random, budget: int, free: int) -> Term:
     if budget <= 1:
-        if free == 0 or rng.random() < h_weight:
+        if free == 0 or rng.random() < H_WEIGHT:
             return H
         return Var(rng.randrange(free))
     if budget == 2:
         if rng.random() < 0.4:
-            return _random_term(rng, 1, free, h_weight)
-        return Abs(_random_term(rng, 1, free + 1, h_weight))
+            return _random_term(rng, 1, free)
+        return Abs(_random_term(rng, 1, free + 1))
     r = rng.random()
     if r < 0.10:
-        return _random_term(rng, 1, free, h_weight)
+        return _random_term(rng, 1, free)
     if r < 0.40:
-        return Abs(_random_term(rng, budget - 1, free + 1, h_weight))
+        return Abs(_random_term(rng, budget - 1, free + 1))
     fun_budget = rng.randint(1, budget - 2)
-    fun = _random_term(rng, fun_budget, free, h_weight)
-    arg = _random_term(rng, budget - 1 - fun_budget, free, h_weight)
+    fun = _random_term(rng, fun_budget, free)
+    arg = _random_term(rng, budget - 1 - fun_budget, free)
     return App(fun, arg)
 
 
-def term_stream(cfg: GenConfig) -> Iterator[Term]:
-    rng = random.Random(cfg.seed)
+def term_stream(seed: int, max_size: int, free_vars: int = 0) -> Iterator[Term]:
+    rng = random.Random(seed)
     while True:
-        yield _random_term(rng, cfg.max_size, cfg.free_vars, cfg.h_weight)
+        yield _random_term(rng, max_size, free_vars)
 
 
 # ---------- extraction-neutral wrapping ----------
 
 
-def wrap_applied_h(
-    t: Term, rng: random.Random, density: float = 0.25, protect_head: bool = False
-) -> Term:
+def wrap_applied_h(t: Term, rng: random.Random, protect_head: bool = False) -> Term:
     """Insert (H _) wrappers at random positions; extraction-neutral.
 
     With ``protect_head`` the binder prefix and operator spine of the
@@ -123,7 +117,7 @@ def wrap_applied_h(
             continue
         else:
             new = node
-        if not protected and rng.random() < density:
+        if not protected and rng.random() < WRAP_DENSITY:
             new = App(H, new)
         done.append(new)
     return done[0]

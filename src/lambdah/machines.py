@@ -95,7 +95,7 @@ from enum import Enum
 from typing import Iterator, Sequence
 
 from .syntax import format_term
-from .terms import Abs, App, Term, Tower, Var, size, spine, substitute
+from .terms import Abs, App, Term, Tower, size, spine, substitute
 
 
 # ---------- step kinds and traces ----------
@@ -391,22 +391,3 @@ def run(
     frozen = tuple(trace) if trace is not None else None
     return stop(state, t_steps, trace=frozen, aux_steps=aux_steps)
 
-
-# ---------- the named combinators ----------
-
-# I = \x.x                       identity
-# G = \x y z. y (x z)            one layer of eta expansion around the head
-# Y = (\z f. f (z z f)) (\z f. f (z z f))   a fixed point combinator
-# J = Y G                        unbounded eta expansion of the identity
-# OMEGA = (\x.x x) (\x.x x)      the standard unsolvable term
-
-I = Abs(Var(0))
-G = Abs(Abs(Abs(App(Var(1), App(Var(2), Var(0))))))
-_Y_HALF = Abs(Abs(App(Var(0), App(App(Var(1), Var(1)), Var(0)))))
-Y = App(_Y_HALF, _Y_HALF)
-J = App(Y, G)
-_SELF_APPLY = Abs(App(Var(0), Var(0)))
-OMEGA = App(_SELF_APPLY, _SELF_APPLY)
-
-# the uppercase names the command line and corpus files may use
-BUILTINS = {"I": I, "J": J, "Y": Y, "G": G, "Omega": OMEGA}

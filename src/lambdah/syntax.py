@@ -18,8 +18,8 @@ the end of the line.
 right pass, and ``format_term`` prints a nameless term straight back;
 there is no named intermediate tree.  A name resolves to its innermost
 binder, and a free name to index depth + i, where i is its position in
-the declared free variables.  Other uppercase words are ``constants``:
-closed nameless terms spliced in where the word appears.  The printer
+the declared free variables.  Other uppercase words name the closed
+terms of ``BUILTINS``, spliced in where the word appears.  The printer
 emits minimal parentheses, uses backslash for lambda, and draws binder
 names from a fixed supply, so printing then re-parsing is the identity
 on nameless terms.  Both directions keep their work on explicit stacks,
@@ -43,9 +43,12 @@ from __future__ import annotations
 
 import re
 from itertools import islice
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .terms import Abs, App, H, Term, Tower, Var
+from .terms import G, I, J, OMEGA, Abs, App, H, Term, Tower, Var, Y
+
+# the uppercase names that a term may use
+BUILTINS = {"I": I, "J": J, "Y": Y, "G": G, "Omega": OMEGA}
 
 
 class ParseError(Exception):
@@ -133,7 +136,7 @@ def _first(token: str) -> str:
     return token[0] if len(token) > 1 and token[-1] in "()" else token
 
 
-def _shown(token: str) -> str:
+def _quote(token: str) -> str:
     return repr(_first(token) or "end of input")
 
 
@@ -143,25 +146,16 @@ _OUTERMOST = object()  # the frame of the whole text
 
 
 def parse_term(
-    text: str,
-    free_vars: Sequence[str] | None = None,
-    constants: Mapping[str, Term] | None = None,
+    text: str, free_vars: Sequence[str] | None = None
 ) -> tuple[Term, tuple[str, ...]]:
     """Parse text straight to a nameless term.
 
     When ``free_vars`` is None the free identifiers are declared
     implicitly in first-occurrence order; the declaration actually used
     is returned alongside the term so output can reuse the same names.
-    ``constants`` maps uppercase words to closed terms; an open one is a
-    ValueError.  Syntax errors raise ParseError, and a name that is
-    neither bound nor declared raises UnboundVariable once the whole
-    text has parsed.
+    Syntax errors raise ParseError, and a name that is neither bound nor
+    declared raises UnboundVariable once the whole text has parsed.
     """
-    constants = constants or {}
-    for name, value in constants.items():
-        if value.fv:
-            raise ValueError(f"constant {name!r} is not a closed term")
-
     tokens = _TOKEN.findall(text)
     kinds = dict(_PUNCTUATION)
     for word in set(tokens).difference(kinds):
@@ -202,7 +196,7 @@ def parse_term(
             k = ks[pos]
             if k != _IDENT:
                 raise _error(
-                    text, pos, f"expected binder name, found {_shown(tokens[pos])}"
+                    text, pos, f"expected binder name, found {_quote(tokens[pos])}"
                 )
             names = []
             while k == _IDENT:
@@ -213,7 +207,7 @@ def parse_term(
                 pos += 1
                 k = ks[pos]
             if k != _DOT:
-                raise _error(text, pos, f"expected '.', found {_shown(tokens[pos])}")
+                raise _error(text, pos, f"expected '.', found {_quote(tokens[pos])}")
             frames.append(names)
             pos += 1
             k = ks[pos]
@@ -252,11 +246,11 @@ def parse_term(
                 k = ks[pos]
                 break
             elif k == _UPPER:
-                t = constants.get(tokens[pos])
+                t = BUILTINS.get(tokens[pos])
                 if t is None:
                     raise _error(text, pos, f"unknown constant {tokens[pos]!r}")
             else:
-                raise _error(text, pos, f"expected a term, found {_shown(tokens[pos])}")
+                raise _error(text, pos, f"expected a term, found {_quote(tokens[pos])}")
             acc = t if acc is None else App(acc, t)
             pos += 1
             k = ks[pos]
@@ -291,7 +285,7 @@ def parse_term(
                         names = tuple(free) if implicit else free_vars
                         return t, names
                     if k != _RPAREN:
-                        raise _error(text, pos, f"expected ')', found {_shown(tokens[pos])}")
+                        raise _error(text, pos, f"expected ')', found {_quote(tokens[pos])}")
                     if left.__class__ is int:  # close up to `left` H levels at once
                         n = closers - closed
                         if n < left:

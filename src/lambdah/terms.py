@@ -55,6 +55,9 @@ substitution and ``subst_const_h`` keep their work on explicit stacks,
 so the depth of a term is bounded by memory, not by the recursion
 limit.  Only ``repr`` and pickling, which Python drives by recursion,
 are bounded by it.
+
+The named combinators live here too: the identity ``I`` and ``J = Y G``,
+the two closed terms that H reads as, with ``G``, ``Y`` and ``OMEGA``.
 """
 
 from __future__ import annotations
@@ -480,3 +483,20 @@ def subst_const_h(t: Term, m: Term) -> Term:
                 x = b
             done.append(x)
     return done[0]
+
+
+# ---------- the named combinators ----------
+
+# I = \x.x                       identity
+# G = \x y z. y (x z)            one layer of eta expansion around the head
+# Y = (\z f. f (z z f)) (\z f. f (z z f))   a fixed point combinator
+# J = Y G                        unbounded eta expansion of the identity
+# OMEGA = (\x.x x) (\x.x x)      the standard unsolvable term
+
+I = Abs(Var(0))
+G = Abs(Abs(Abs(App(Var(1), App(Var(2), Var(0))))))
+_Y_HALF = Abs(Abs(App(Var(0), App(App(Var(1), Var(1)), Var(0)))))
+Y = App(_Y_HALF, _Y_HALF)
+J = App(Y, G)
+_SELF_APPLY = Abs(App(Var(0), Var(0)))
+OMEGA = App(_SELF_APPLY, _SELF_APPLY)

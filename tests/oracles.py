@@ -11,7 +11,8 @@ textbook definition that de Bruijn indices are supposed to implement.
 re-reads the whole state through ``decompose`` before every step and
 rebuilds the whole state after it, so it shares only the outcome types
 and ``substitute`` with the unwound machine it checks.  ``state_budget``
-sets the budget ``machines.MAX_STATE`` of both drivers for a block.
+sets the budget ``machines.MAX_STATE`` of both drivers for a block, and
+``gen_weights`` sets the generators' ``H_WEIGHT`` and ``WRAP_DENSITY``.
 ``count_h_and_apps`` counts the two kinds of node that bound a burst,
 ``node_count`` counts every node one at a time, the reference for the
 count each node carries,
@@ -41,8 +42,8 @@ from typing import Iterator
 
 import pytest
 
-from lambdah import machines
-from lambdah.gen import GenConfig, _random_term, wrap_applied_h
+from lambdah import gen, machines
+from lambdah.gen import _random_term, wrap_applied_h
 from lambdah.machines import (
     AuxCapExceeded,
     FuelExhausted,
@@ -295,6 +296,19 @@ def state_budget(nodes: int) -> Iterator[None]:
         yield
 
 
+@contextmanager
+def gen_weights(h: float | None = None, density: float | None = None) -> Iterator[None]:
+    """``gen.H_WEIGHT`` is ``h`` and ``gen.WRAP_DENSITY`` is ``density``
+    inside the block, each only if given.  A stream reads ``H_WEIGHT``
+    as it draws, so consume it inside the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        if h is not None:
+            mp.setattr(gen, "H_WEIGHT", h)
+        if density is not None:
+            mp.setattr(gen, "WRAP_DENSITY", density)
+        yield
+
+
 def count_h_and_apps(t: Term) -> tuple[int, int]:
     """The number of H-nodes and of applications in t: a pure burst
     from t takes at most h * a J-steps and h I-steps."""
@@ -358,16 +372,18 @@ def recursive_wrap_applied_h(
     return go(t, protect_head)
 
 
-def pair_stream(cfg: GenConfig, density: float = 0.25) -> Iterator[tuple[Term, Term]]:
+def pair_stream(
+    seed: int, max_size: int, free_vars: int = 0
+) -> Iterator[tuple[Term, Term]]:
     """Two independent wrappings of each seeded random base.  Wrapping S
     as (H S) never changes the image: in argument or body position the
     erasure applies to the wrapper itself, and in operator position the
     wrapper's H becomes the head of the surrounding spine and is erased
     there.  So each pair agrees after extraction by construction."""
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     while True:
-        base = _random_term(rng, cfg.max_size, cfg.free_vars, cfg.h_weight)
-        yield wrap_applied_h(base, rng, density), wrap_applied_h(base, rng, density)
+        base = _random_term(rng, max_size, free_vars)
+        yield wrap_applied_h(base, rng), wrap_applied_h(base, rng)
 
 
 # ---------- recursive references for the term core ----------

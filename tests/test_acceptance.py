@@ -1,15 +1,16 @@
 """Acceptance suite: the eight headline properties at full scale.
 
 Corpora: every closed term of size <= 6 (exhaustive, 184 terms), 10,000
-seeded random terms of size <= 25 drawn with h_weight 0.5, and a curated
-file of contexts placing H at the head, under binders, and inside
-arguments.  All counts below are frozen: the generators are pure
-functions of their seeds, so a changed count means changed behaviour.
+seeded random terms of size <= 25 drawn with ``gen.H_WEIGHT`` patched
+to 0.5, and a curated file of contexts placing H at the head, under
+binders, and inside arguments.  All counts below are frozen: the
+generators are pure functions of their seeds, so a changed count means
+changed behaviour.
 
 Each test prints one PASS line with its scale and timing; run with
-``pytest tests/test_acceptance.py -v -s`` to see them.  The curated
-context sweep dominates the runtime (about a minute) because one
-divergent context unfolds J into linearly growing states.
+``pytest tests/test_acceptance.py -v -s`` to see them.  The whole file
+takes about 3 s on two cores, most of it the extraction laws over the
+10,184-term corpus.
 """
 
 import time
@@ -25,11 +26,8 @@ from lambdah.equivalence import (
     read_corpus,
 )
 from lambdah.extraction import ShapeViolation, classify, extract
-from lambdah.gen import GenConfig, enumerate_terms, term_stream
+from lambdah.gen import enumerate_terms, term_stream
 from lambdah.machines import (
-    I,
-    J,
-    OMEGA,
     FuelExhausted,
     Hnf,
     Strategy,
@@ -39,6 +37,9 @@ from lambdah.machines import (
 )
 from lambdah.syntax import format_term, parse_term
 from lambdah.terms import (
+    I,
+    J,
+    OMEGA,
     Abs,
     App,
     H,
@@ -55,6 +56,7 @@ from oracles import (
     count_h_and_apps,
     count_terms,
     finished_burst,
+    gen_weights,
     oracle_substitute,
 )
 
@@ -76,10 +78,8 @@ def closed6():
 
 @pytest.fixture(scope="module")
 def random_corpus():
-    cfg = GenConfig(
-        seed=SEED, max_size=RANDOM_SIZE, free_vars=2, h_weight=H_WEIGHT
-    )
-    return list(islice(term_stream(cfg), RANDOM_COUNT))
+    with gen_weights(h=H_WEIGHT):
+        return list(islice(term_stream(SEED, RANDOM_SIZE, free_vars=2), RANDOM_COUNT))
 
 
 @pytest.fixture(scope="module")
@@ -155,11 +155,10 @@ def test_pure_strategies_terminate_within_their_caps(corpus):
 
 
 def test_lockstep_runs_agree_at_every_checkpoint():
-    cfg = GenConfig(
-        seed=LOCKSTEP_SEED, max_size=RANDOM_SIZE, free_vars=2, h_weight=H_WEIGHT
-    )
+    with gen_weights(h=H_WEIGHT):
+        terms = list(islice(term_stream(LOCKSTEP_SEED, RANDOM_SIZE, free_vars=2), 1000))
     checkpoints = stepped = 0
-    for t in islice(term_stream(cfg), 1000):
+    for t in terms:
         report = lockstep(t, 100)
         assert not isinstance(report.verdict, EMismatch), format_term(t)
         assert not isinstance(report.verdict, Diverged), format_term(t)

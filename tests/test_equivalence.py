@@ -26,11 +26,8 @@ from lambdah.equivalence import (
     replay_j_trace,
     theorem_check,
 )
-from lambdah.gen import GenConfig, enumerate_terms, term_stream, wrap_applied_h
+from lambdah.gen import enumerate_terms, term_stream, wrap_applied_h
 from lambdah.machines import (
-    I,
-    J,
-    OMEGA,
     FuelExhausted,
     Hnf,
     Overflow,
@@ -41,7 +38,7 @@ from lambdah.machines import (
     run,
 )
 from lambdah.syntax import parse_term
-from lambdah.terms import Abs, App, H, Term, Var, apply_args, size, spine
+from lambdah.terms import I, OMEGA, Abs, App, H, Term, Var, apply_args, size, spine
 from oracles import state_budget
 
 
@@ -457,7 +454,7 @@ def test_lemma_suite_records_exceptions_as_failures(monkeypatch):
 
 def _mixed_corpus():
     corpus = list(enumerate_terms(6, free_vars=1))
-    corpus += islice(term_stream(GenConfig(seed=0, max_size=12, free_vars=2)), 50)
+    corpus += islice(term_stream(0, 12, free_vars=2), 50)
     return corpus
 
 

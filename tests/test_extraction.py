@@ -11,10 +11,10 @@ from lambdah.extraction import (
     classify,
     extract,
 )
-from lambdah.gen import GenConfig, enumerate_terms, wrap_applied_h
+from lambdah.gen import enumerate_terms, wrap_applied_h
 from lambdah.syntax import format_term, parse_term
 from lambdah.terms import Abs, App, H, Var, substitute
-from oracles import pair_stream
+from oracles import gen_weights, pair_stream
 
 
 def term(text, frees=None):
@@ -138,12 +138,12 @@ def test_application_collapse_identity():
 
 def test_wrapping_any_subterm_with_applied_h_preserves_the_image():
     rng = random.Random(5)
-    for t in enumerate_terms(5, free_vars=1):
-        wrapped = wrap_applied_h(t, rng, density=0.5)
-        assert extract(wrapped) == extract(t)
+    with gen_weights(density=0.5):
+        for t in enumerate_terms(5, free_vars=1):
+            wrapped = wrap_applied_h(t, rng)
+            assert extract(wrapped) == extract(t)
 
 
 def test_pair_stream_yields_equal_image_pairs():
-    cfg = GenConfig(seed=11, max_size=14, free_vars=2)
-    for left, right in islice(pair_stream(cfg), 200):
+    for left, right in islice(pair_stream(11, 14, free_vars=2), 200):
         assert extract(left) == extract(right)

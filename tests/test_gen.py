@@ -5,7 +5,7 @@ import sys
 from itertools import islice
 
 from lambdah.extraction import extract
-from lambdah.gen import GenConfig, enumerate_terms, term_stream, wrap_applied_h
+from lambdah.gen import enumerate_terms, term_stream, wrap_applied_h
 from lambdah.terms import (
     Abs,
     App,
@@ -15,7 +15,7 @@ from lambdah.terms import (
     size,
     spine,
 )
-from oracles import count_terms, pair_stream, recursive_wrap_applied_h
+from oracles import count_terms, gen_weights, pair_stream, recursive_wrap_applied_h
 
 
 def contains_h(t):
@@ -88,60 +88,63 @@ def test_enumeration_is_deterministic():
 
 
 def test_stream_is_a_pure_function_of_the_config():
-    cfg = GenConfig(seed=7, max_size=12, free_vars=1)
-    first = list(islice(term_stream(cfg), 50))
-    second = list(islice(term_stream(cfg), 50))
+    first = list(islice(term_stream(7, 12, free_vars=1), 50))
+    second = list(islice(term_stream(7, 12, free_vars=1), 50))
     assert first == second
-    other = list(islice(term_stream(GenConfig(seed=8, max_size=12, free_vars=1)), 50))
+    other = list(islice(term_stream(8, 12, free_vars=1), 50))
     assert first != other
 
 
 def test_stream_respects_size_bound_and_scope():
-    cfg = GenConfig(seed=3, max_size=9, free_vars=2)
-    for t in islice(term_stream(cfg), 200):
+    for t in islice(term_stream(3, 9, free_vars=2), 200):
         assert size(t) <= 9
         assert t.fv <= 2
 
 
 def test_a_fresh_stream_restarts_at_the_same_term():
-    cfg = GenConfig(seed=41, max_size=10)
-    assert next(term_stream(cfg)) == next(term_stream(cfg))
+    assert next(term_stream(41, 10)) == next(term_stream(41, 10))
 
 
 def test_h_weight_extremes():
     # weight 0 with variables in scope: leaves never come out as H
-    lean = GenConfig(seed=5, max_size=8, free_vars=2, h_weight=0.0)
-    assert not any(contains_h(t) for t in islice(term_stream(lean), 100))
+    with gen_weights(h=0.0):
+        lean = list(islice(term_stream(5, 8, free_vars=2), 100))
+    assert not any(contains_h(t) for t in lean)
     # weight 1: every leaf is H
-    rich = GenConfig(seed=5, max_size=8, free_vars=2, h_weight=1.0)
-    assert not any(contains_var(t) for t in islice(term_stream(rich), 100))
+    with gen_weights(h=1.0):
+        rich = list(islice(term_stream(5, 8, free_vars=2), 100))
+    assert not any(contains_var(t) for t in rich)
 
 
 def test_closed_terms_fall_back_to_h_leaves():
-    cfg = GenConfig(seed=9, max_size=4, free_vars=0, h_weight=0.0)
+    with gen_weights(h=0.0):
+        terms = list(islice(term_stream(9, 4, free_vars=0), 50))
     # under no binder a leaf has no variable to pick, so H appears anyway
-    assert any(contains_h(t) for t in islice(term_stream(cfg), 50))
+    assert any(contains_h(t) for t in terms)
 
 
 # ---------- equal-image pairs ----------
 
 
 def test_wrapping_with_applied_h_never_changes_the_image():
-    for i, t in enumerate(enumerate_terms(5, free_vars=1)):
-        wrapped = wrap_applied_h(t, random.Random(i), density=0.5)
-        assert extract(wrapped) == extract(t)
+    with gen_weights(density=0.5):
+        for i, t in enumerate(enumerate_terms(5, free_vars=1)):
+            wrapped = wrap_applied_h(t, random.Random(i))
+            assert extract(wrapped) == extract(t)
 
 
 def test_full_density_wrap_touches_every_open_position():
     t = App(Abs(Var(0)), Var(0))
-    wrapped = wrap_applied_h(t, random.Random(0), density=1.0)
+    with gen_weights(density=1.0):
+        wrapped = wrap_applied_h(t, random.Random(0))
     assert wrapped == App(H, App(App(H, Abs(App(H, Var(0)))), App(H, Var(0))))
     assert extract(wrapped) == extract(t)
 
 
 def test_protect_head_keeps_a_head_redex_in_place():
     t = App(Abs(Var(0)), Var(0))
-    wrapped = wrap_applied_h(t, random.Random(0), density=1.0, protect_head=True)
+    with gen_weights(density=1.0):
+        wrapped = wrap_applied_h(t, random.Random(0), protect_head=True)
     # binder prefix and operator spine untouched, argument still wrapped
     assert wrapped == App(Abs(Var(0)), App(H, Var(0)))
     assert isinstance(spine(wrapped)[1], Abs)
@@ -150,16 +153,16 @@ def test_protect_head_keeps_a_head_redex_in_place():
 def test_wrapping_draws_its_coins_in_the_order_of_the_recursive_walk():
     # the check suite's rows and frozen counts depend on this order
     for seed in range(200):
-        cfg = GenConfig(seed=seed, max_size=4 + seed % 17, free_vars=seed % 3)
-        t = next(term_stream(cfg))
+        t = next(term_stream(seed, 4 + seed % 17, free_vars=seed % 3))
         if seed % 4 == 0:
-            t = wrap_applied_h(t, random.Random(seed), density=0.7)  # towers in
+            with gen_weights(density=0.7):
+                t = wrap_applied_h(t, random.Random(seed))  # towers in
         density = (0.1, 0.25, 0.5, 0.9)[seed % 4]
         protect_head = seed % 3 == 0
         ours, theirs = random.Random(seed), random.Random(seed)
-        assert wrap_applied_h(t, ours, density, protect_head) == recursive_wrap_applied_h(
-            t, theirs, density, protect_head
-        )
+        with gen_weights(density=density):
+            wrapped = wrap_applied_h(t, ours, protect_head)
+        assert wrapped == recursive_wrap_applied_h(t, theirs, density, protect_head)
         assert ours.getstate() == theirs.getstate()
 
 
@@ -171,7 +174,8 @@ def test_wrapping_a_deep_term_needs_no_recursion():
     saved = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        wrapped = wrap_applied_h(t, random.Random(0), density=0.5)
+        with gen_weights(density=0.5):
+            wrapped = wrap_applied_h(t, random.Random(0))
     finally:
         sys.setrecursionlimit(saved)
     # walk down the arguments, looking through the wrappers
@@ -192,14 +196,12 @@ def test_wrapping_a_deep_term_needs_no_recursion():
 
 
 def test_pair_stream_yields_equal_image_pairs():
-    cfg = GenConfig(seed=11, max_size=10, free_vars=1)
-    for left, right in islice(pair_stream(cfg), 30):
+    for left, right in islice(pair_stream(11, 10, free_vars=1), 30):
         assert extract(left) == extract(right)
 
 
 def test_pair_stream_is_deterministic():
-    cfg = GenConfig(seed=11, max_size=10, free_vars=1)
-    first = list(islice(pair_stream(cfg), 20))
-    second = list(islice(pair_stream(cfg), 20))
+    first = list(islice(pair_stream(11, 10, free_vars=1), 20))
+    second = list(islice(pair_stream(11, 10, free_vars=1), 20))
     assert first == second
-    assert next(pair_stream(cfg)) == first[0]
+    assert next(pair_stream(11, 10, free_vars=1)) == first[0]

@@ -11,13 +11,9 @@ from hypothesis import strategies as st
 from lambdah import machines
 from lambdah.cli import main
 from lambdah.extraction import extract
-from lambdah.gen import GenConfig, enumerate_terms, term_stream, wrap_applied_h
+from lambdah.gen import enumerate_terms, term_stream, wrap_applied_h
 from lambdah.machines import (
     MAX_STATE,
-    G,
-    I,
-    J,
-    OMEGA,
     AuxCapExceeded,
     FuelExhausted,
     Hnf,
@@ -25,7 +21,6 @@ from lambdah.machines import (
     StepError,
     StepKind,
     Strategy,
-    Y,
     i_step,
     j_step,
     run,
@@ -34,18 +29,29 @@ from lambdah.machines import (
 )
 from lambdah.syntax import format_term, parse_term
 from lambdah.terms import (
+    G,
+    I,
+    J,
+    OMEGA,
     Abs,
     App,
     H,
     Tower,
     Var,
+    Y,
     apply_args,
     size,
     spine,
     subst_const_h,
     substitute,
 )
-from oracles import count_h_and_apps, finished_burst, reference_run, state_budget
+from oracles import (
+    count_h_and_apps,
+    finished_burst,
+    gen_weights,
+    reference_run,
+    state_budget,
+)
 
 
 def term(text, frees=None):
@@ -247,7 +253,7 @@ def test_a_burst_that_outruns_its_bound_raises(monkeypatch):
 
 
 def test_run_is_deterministic():
-    for t in islice(term_stream(GenConfig(seed=8, max_size=15, free_vars=2)), 100):
+    for t in islice(term_stream(8, 15, free_vars=2), 100):
         assert run(t, Strategy.IT, 50) == run(t, Strategy.IT, 50)
         assert run(t, Strategy.JT, 50) == run(t, Strategy.JT, 50)
 
@@ -429,9 +435,9 @@ def towered_terms(draw):
     """A random term with H-wrappers placed by ``wrap_applied_h``, each
     of its towers then raised to a drawn height from 1 to 40."""
     seed = draw(st.integers(0, 2**32 - 1))
-    cfg = GenConfig(seed=seed, max_size=draw(st.integers(2, 14)), free_vars=2)
-    density = draw(st.sampled_from((0.2, 0.5, 0.8)))
-    wrapped = wrap_applied_h(next(term_stream(cfg)), random.Random(seed), density)
+    base = next(term_stream(seed, draw(st.integers(2, 14)), free_vars=2))
+    with gen_weights(density=draw(st.sampled_from((0.2, 0.5, 0.8)))):
+        wrapped = wrap_applied_h(base, random.Random(seed))
     heights = st.integers(1, 40)
 
     def raised(t):

@@ -1,12 +1,17 @@
-"""The README's command line transcripts, run and compared line by line.
+"""The README's command line transcripts and its Library block, run.
 
 Every ``$ lambdah ...`` line of a ``text`` block runs through
 ``cli.main`` from the root of the repository, and the lines up to the
 next command or the end of the block are its expected stdout.  A line
 ``...`` stands for any number of lines, a line ending in ``...``
 matches by prefix, and a trailing ``  # ...`` note is not output.
+
+The ``python`` block runs statement by statement, and the ``repr`` of
+each bare expression must be the first word of its ``#`` comment, less
+a trailing comma or colon.
 """
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -65,3 +70,21 @@ def test_readme_transcript(command, expected, capsys, monkeypatch):
     main(shlex.split(command))
     actual = capsys.readouterr().out.splitlines()
     assert matches(expected, actual), "\n".join(actual)
+
+
+def test_readme_library_block():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (source,) = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    lines = source.splitlines()
+    namespace: dict = {}
+    shown = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.Expr):
+            code = compile(ast.Expression(stmt.value), "README.md", "eval")
+            value = eval(code, namespace)
+            comment = lines[stmt.end_lineno - 1].split("  # ", 1)[1]
+            assert repr(value) == comment.split()[0].rstrip(",:"), comment
+            shown.append(repr(value))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert shown == ["'y'", "True", "True", "BothHnf()"]

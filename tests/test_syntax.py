@@ -11,17 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambdah import syntax
-from lambdah.gen import GenConfig, enumerate_terms, term_stream, wrap_applied_h
-from lambdah.machines import BUILTINS, I, OMEGA
+from lambdah.gen import enumerate_terms, term_stream, wrap_applied_h
 from lambdah.syntax import (
+    BUILTINS,
     ParseError,
     UnboundVariable,
     format_term,
     parse_term,
     source_lines,
 )
-from lambdah.terms import Abs, App, H, Tower, Var
-from oracles import REFERENCE_PIECE, REFERENCE_TOKEN
+from lambdah.terms import OMEGA, Abs, App, H, Tower, Var
+from oracles import REFERENCE_PIECE, REFERENCE_TOKEN, gen_weights
 
 
 # ---------- parsing ----------
@@ -153,15 +153,20 @@ def test_free_names_skips_bound_occurrences():
 
 
 def test_constants_are_spliced_in_as_they_are():
-    t, names = parse_term("H Omega", constants=BUILTINS)
+    t, names = parse_term("H Omega")
     assert names == ()
     assert t == App(H, OMEGA)
     assert t.arg is OMEGA
 
 
-def test_an_open_constant_is_rejected():
-    with pytest.raises(ValueError):
-        parse_term("K", constants={"K": Var(0)})
+def test_every_builtin_is_closed_and_parses_to_itself():
+    # the table is the only source of constants, so it alone must hold
+    # closed terms, each spliced in by identity
+    for name, value in BUILTINS.items():
+        assert value.fv == 0, name
+        t, names = parse_term(name)
+        assert (t, names) == (value, ())
+        assert t is value
 
 
 def test_h_before_a_parenthesis_mid_application_is_an_argument():
@@ -175,9 +180,10 @@ def test_h_before_a_parenthesis_mid_application_is_an_argument():
 
 
 def test_a_word_that_starts_with_h_is_a_constant_not_a_tower():
-    t, names = parse_term("Hx (y)", constants={"Hx": I})
-    assert names == ("y",)
-    assert t == App(I, Var(0))
+    # "Hx" is one word, not H applied to x
+    with pytest.raises(ParseError, match="unknown constant 'Hx'") as err:
+        parse_term("Hx (y)")
+    assert (err.value.line, err.value.col) == (1, 1)
 
 
 @pytest.mark.parametrize(
@@ -306,7 +312,7 @@ def test_format_and_parse_are_inverse_on_enumerated_terms():
 
 
 def test_round_trip_on_random_terms():
-    for i, t in zip(range(300), term_stream(GenConfig(seed=9, max_size=30, free_vars=3))):
+    for i, t in zip(range(300), term_stream(9, 30, free_vars=3)):
         names = tuple(f"v{i}" for i in range(t.fv))
         text = format_term(t, names)
         assert parse_term(text, names)[0] == t
@@ -328,8 +334,9 @@ def test_towers_round_trip_through_any_spacing(seed, density, data):
     # dense (H _) wrappers put towers in operator, argument and top
     # position and under binders; the text is then re-spaced at token
     # boundaries, which must not change the term it reads as
-    base = next(term_stream(GenConfig(seed=seed, max_size=16, free_vars=2)))
-    t = wrap_applied_h(base, random.Random(seed), density)
+    base = next(term_stream(seed, 16, free_vars=2))
+    with gen_weights(density=density):
+        t = wrap_applied_h(base, random.Random(seed))
     names = tuple(f"v{i}" for i in range(t.fv))
     text = format_term(t, names)
     assert parse_term(text, names)[0] == t

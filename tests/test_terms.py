@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from lambdah.equivalence import BothHnf, BothRunning, lockstep, theorem_check
 from lambdah.extraction import extract
-from lambdah.gen import GenConfig, enumerate_terms, term_stream, wrap_applied_h
-from lambdah.machines import I, Hnf, Strategy, run, t_step
+from lambdah.gen import enumerate_terms, term_stream, wrap_applied_h
+from lambdah.machines import Hnf, Strategy, run, t_step
 from lambdah.syntax import format_term, parse_term
 from lambdah.terms import (
     Abs,
@@ -31,6 +31,7 @@ from lambdah.terms import (
 from oracles import (
     count_terms,
     decompose,
+    gen_weights,
     node_count,
     oracle_substitute,
     recompose,
@@ -598,8 +599,9 @@ def assert_same_result(ours, reference, *sources):
 
 def wrapped_terms(count=400):
     rng = random.Random(5)
-    stream = term_stream(GenConfig(seed=5, max_size=24, free_vars=2))
-    return [wrap_applied_h(t, rng, density=0.4) for t in islice(stream, count)]
+    stream = term_stream(5, 24, free_vars=2)
+    with gen_weights(density=0.4):
+        return [wrap_applied_h(t, rng) for t in islice(stream, count)]
 
 
 SHIFTS = (1, 2, 3)
