@@ -12,15 +12,11 @@ from .equivalence import (
     BothRunning,
     Diverged,
     EMismatch,
-    InvalidTrace,
-    LiftWitness,
     LockstepReport,
     SuiteReport,
     lemma_suite,
-    lift_j_trace,
     lockstep,
     read_corpus,
-    replay_j_trace,
     theorem_check,
 )
 from .extraction import EShape, ShapeViolation, classify, extract
@@ -75,13 +71,12 @@ from .terms import (
 __all__ = [
     "Abs", "AgreementRow", "App", "AuxCapExceeded", "BUILTINS", "BothHnf",
     "BothRunning", "ConstH", "Diverged", "EMismatch", "EShape",
-    "FuelExhausted", "G", "H", "Hnf", "I", "InvalidTrace", "J",
-    "LiftWitness", "LockstepReport", "MachineOutcome", "OMEGA", "Overflow",
-    "ParseError", "ShapeViolation", "StepError", "StepKind", "Strategy",
-    "SuiteReport", "Term", "Tower", "TraceEntry", "UnboundVariable", "Var",
-    "Y", "apply_args", "classify", "enumerate_terms", "extract", "format_term",
-    "i_step", "j_step", "lemma_suite", "lift_j_trace", "lockstep",
-    "parse_term", "read_corpus", "replay_j_trace", "run", "shift", "size",
-    "spine", "subst_const_h", "substitute", "t_step", "term_stream",
+    "FuelExhausted", "G", "H", "Hnf", "I", "J", "LockstepReport",
+    "MachineOutcome", "OMEGA", "Overflow", "ParseError", "ShapeViolation",
+    "StepError", "StepKind", "Strategy", "SuiteReport", "Term", "Tower",
+    "TraceEntry", "UnboundVariable", "Var", "Y", "apply_args", "classify",
+    "enumerate_terms", "extract", "format_term", "i_step", "j_step",
+    "lemma_suite", "lockstep", "parse_term", "read_corpus", "run", "shift",
+    "size", "spine", "subst_const_h", "substitute", "t_step", "term_stream",
     "theorem_check", "wrap_applied_h",
 ]

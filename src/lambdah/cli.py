@@ -80,30 +80,27 @@ def _cmd_reduce(args) -> int:
         else:
             for entry in outcome.trace:
                 print(f"{entry.kind.value:6} {format_term(entry.after, names)}")
-    final = outcome.result if isinstance(outcome, Hnf) else outcome.last
+    if isinstance(outcome, Hnf):
+        final, word = outcome.result, "hnf"
+        header = f"hnf (t_steps={outcome.t_steps}, aux_steps={outcome.aux_steps})"
+    elif isinstance(outcome, Overflow):
+        final, word = outcome.last, "overflow"
+        header = f"state outgrew the budget after {outcome.t_steps} t-steps"
+    else:
+        final, word = outcome.last, "fuel_exhausted"
+        header = f"fuel exhausted after {outcome.t_steps} t-steps"
+    text = format_term(final, names)
     if args.json:
-        if isinstance(outcome, Hnf):
-            word = "hnf"
-        elif isinstance(outcome, Overflow):
-            word = "overflow"
-        else:
-            word = "fuel_exhausted"
         record = {
             "outcome": word,
-            "term": format_term(final, names),
+            "term": text,
             "t_steps": outcome.t_steps,
             "aux_steps": outcome.aux_steps,
         }
         print(json.dumps(record))
-    elif isinstance(outcome, Hnf):
-        print(f"hnf (t_steps={outcome.t_steps}, aux_steps={outcome.aux_steps})")
-        print(format_term(outcome.result, names))
-    elif isinstance(outcome, Overflow):
-        print(f"state outgrew the budget after {outcome.t_steps} t-steps")
-        print(format_term(outcome.last, names))
     else:
-        print(f"fuel exhausted after {outcome.t_steps} t-steps")
-        print(format_term(outcome.last, names))
+        print(header)
+        print(text)
     return 0
 
 
@@ -188,10 +185,10 @@ def _cmd_corpus(args) -> int:
             flag = "agree" if row.agree else "DISAGREE"
             print(f"{entry.text}: I={verdict_word(vi)}({vi.t_steps}) "
                   f"J={verdict_word(vj)}({vj.t_steps}) {flag}")
+    tally = agreement_tally(rows)
     if args.json:
-        print(json.dumps(agreement_tally(rows)))
+        print(json.dumps(tally))
     else:
-        tally = agreement_tally(rows)
         print(
             f"{tally['contexts']} contexts, {tally['disagreements']} disagreements, "
             f"{tally['both_unknown']} both-unknown"

@@ -9,14 +9,14 @@ unbounded eta-expansion reading).  Concretely,
     each t-step, and compares the extraction images of the two states;
   * ``theorem_check`` compares plain head reduction of U[I/H] against
     U[J/H], together with the two machine verdicts on U itself;
-  * ``lift_j_trace`` replays the constructive argument that a J-step
-    sequence survives the appending of extra arguments;
   * ``lemma_suite`` evaluates every step-level invariant over a corpus
     and reports counterexamples.
 
-Fuel exhaustion is always reported as "unknown", never as a verdict of
-unsolvability, so definite disagreement means one side reached a head
-normal form while the other provably cannot (which should never occur).
+A run that exhausts its fuel or outgrows the state budget is reported
+as "unknown", never as a verdict of unsolvability.  Even so, an
+agreement row says "disagree" whenever one substituted side reaches a
+head normal form and the other does not, including when the other only
+ran out of fuel; ``theorem_check`` spells this out.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import BinaryIO, Callable, Iterable, Sequence
 
 from .extraction import ShapeViolation, classify, extract
@@ -35,7 +36,6 @@ from .machines import (
     Overflow,
     StepKind,
     Strategy,
-    TraceEntry,
     i_step,
     j_step,
     run,
@@ -292,95 +292,6 @@ def read_corpus(path: str | os.PathLike) -> list[CorpusEntry]:
     return entries
 
 
-# ---------- lifting a J-trace past appended arguments ----------
-
-
-class InvalidTrace(Exception):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class LiftWitness:
-    original: tuple[TraceEntry, ...]
-    args: tuple[Term, ...]
-    lifted: tuple[TraceEntry, ...]
-    primed_args: tuple[Term, ...]
-    residuals: tuple[tuple[TraceEntry, ...], ...]  # primed_args[k] -> args[k]
-
-
-def replay_j_trace(entries: Sequence[TraceEntry]) -> None:
-    """Check that a trace is a chained sequence of genuine J-steps."""
-    previous: Term | None = None
-    for i, entry in enumerate(entries):
-        if entry.kind not in (StepKind.J_WRAP, StepKind.J_DROP):
-            raise InvalidTrace(f"entry {i}: {entry.kind.value} is not a J-step")
-        if previous is not None and entry.before != previous:
-            raise InvalidTrace(f"entry {i}: does not chain with the previous step")
-        _, head, args = spine(entry.before)
-        if head.__class__ is not Tower:
-            raise InvalidTrace(f"entry {i}: head is not an applied H")
-        expected_kind = StepKind.J_WRAP if args else StepKind.J_DROP
-        if entry.kind is not expected_kind:
-            raise InvalidTrace(f"entry {i}: kind should be {expected_kind.value}")
-        if j_step(entry.before) != entry.after:
-            raise InvalidTrace(f"entry {i}: after-term is not the J-contraction")
-        previous = entry.after
-
-
-def lift_j_trace(
-    trace: Sequence[TraceEntry], args: Sequence[Term]
-) -> LiftWitness:
-    """Append ``args`` to every state of a J-trace.
-
-    A wrap step survives appending unchanged.  A drop step H U -> U
-    turns into a wrap onto the first appended argument:
-
-        H U W1 W2 .. Wn  ->  U (H W1) W2 .. Wn
-
-    so after the whole trace the first argument has collected one H
-    wrapper per drop step; the residual traces peel those wrappers off
-    again, one drop each, which is what makes the primed arguments
-    J-reduce back to the originals.
-
-    Steps taken under a binder prefix have no head position left once
-    arguments are appended, so such traces cannot be lifted and are
-    rejected along with traces that do not replay.
-    """
-    entries = tuple(trace)
-    arg_list = tuple(args)
-    replay_j_trace(entries)
-    if not arg_list:
-        return LiftWitness(entries, arg_list, entries, arg_list, ())
-    current = list(arg_list)
-    lifted: list[TraceEntry] = []
-    drops = 0
-    for i, entry in enumerate(entries):
-        if spine(entry.before)[0]:
-            raise InvalidTrace(
-                f"entry {i}: a step under a binder prefix cannot be lifted"
-            )
-        before = apply_args(entry.before, current)
-        if entry.kind is StepKind.J_DROP:
-            current[0] = App(H, current[0])
-            drops += 1
-        after = apply_args(entry.after, current)
-        lifted.append(TraceEntry(StepKind.J_WRAP, before, after, 0))
-    # first argument: H^drops W1 -> ... -> W1 by repeated drops
-    forms = [arg_list[0]]
-    for _ in range(drops):
-        forms.append(App(H, forms[-1]))
-    first_residual = tuple(
-        TraceEntry(StepKind.J_DROP, forms[m], forms[m - 1], 0)
-        for m in range(drops, 0, -1)
-    )
-    residuals = (first_residual,) + tuple(() for _ in arg_list[1:])
-    witness = LiftWitness(entries, arg_list, tuple(lifted), tuple(current), residuals)
-    replay_j_trace(witness.lifted)
-    for residual in witness.residuals:
-        replay_j_trace(residual)
-    return witness
-
-
 # ---------- invariant suite ----------
 
 
@@ -624,19 +535,42 @@ def _make_context_agreement(fuel: int) -> Callable:
 
 
 def _lift_replays(t: Term):
+    """The lifting lemma on the JT burst from ``t``: a J-step sequence
+    survives appending an argument W.  A wrap lifts unchanged, and a
+    drop H U -> U becomes the wrap H U W -> U (H W), so W collects one
+    H per drop, and as many drops peel them off again.
+
+    Each step before the first one under a binder prefix (where no
+    argument can be appended at the head) must chain from the state
+    before it, be the J-step of its head tower, and lift past W,
+    starting from W = I."""
     out = run(t, Strategy.JT, 0, keep_trace=True)
-    prefix = []
-    for entry in out.trace:
-        if spine(entry.before)[0]:
-            break
-        prefix.append(entry)
-    if not prefix:
+    steps = list(takewhile(lambda entry: not spine(entry.before)[0], out.trace))
+    if not steps:
         return _SKIP
-    try:
-        lift_j_trace(prefix, (I,))
-    except InvalidTrace as exc:
-        return f"{format_term(t)}: {exc}"
-    return None
+    previous, w, drops = t, I, 0
+    for i, entry in enumerate(steps):
+        _, head, args = spine(entry.before)
+        kind = StepKind.J_WRAP if args else StepKind.J_DROP
+        lifted_w = App(H, w) if kind is StepKind.J_DROP else w
+        if entry.before != previous:
+            problem = "does not chain with the previous state"
+        elif head.__class__ is not Tower:
+            problem = "head is not an applied H"
+        elif entry.kind is not kind:
+            problem = f"{entry.kind.value} should be {kind.value}"
+        elif j_step(entry.before) != entry.after:
+            problem = "after-term is not the J-contraction"
+        elif j_step(App(entry.before, w)) != App(entry.after, lifted_w):
+            problem = "the step does not lift past an argument"
+        else:
+            previous, w = entry.after, lifted_w
+            drops += kind is StepKind.J_DROP
+            continue
+        return f"{format_term(t)}: entry {i}: {problem}"
+    for _ in range(drops):
+        w = j_step(w)
+    return None if w == I else f"{format_term(t)}: H^{drops} I does not drop to I"
 
 
 # The most processes that share the suite.  The two checks that draw
@@ -741,7 +675,7 @@ def lemma_suite(
     groups: Sequence[str] | None = None,
 ) -> SuiteReport:
     """Evaluate every extraction, step, and equivalence invariant over a
-    corpus.  A raised violation (shape, cap, replay) is recorded as a
+    corpus.  A raised violation (shape, cap) is recorded as a
     failure on the offending term rather than aborting the sweep.
 
     One process per CPU that this one may use (its affinity mask, as

@@ -1,5 +1,6 @@
-"""Equivalence tests: lockstep runs, theorem rows, trace lifting, suite."""
+"""Equivalence tests: lockstep runs, theorem rows, the lifting lemma, suite."""
 
+import dataclasses
 import json
 import os
 import random
@@ -15,15 +16,11 @@ from lambdah.equivalence import (
     BothRunning,
     Diverged,
     EMismatch,
-    InvalidTrace,
-    LiftWitness,
     agreement_row_json,
     agreement_tally,
     lemma_suite,
-    lift_j_trace,
     lockstep,
     read_corpus,
-    replay_j_trace,
     theorem_check,
 )
 from lambdah.gen import enumerate_terms, term_stream, wrap_applied_h
@@ -33,7 +30,7 @@ from lambdah.machines import (
     Overflow,
     StepKind,
     Strategy,
-    TraceEntry,
+    i_step,
     j_step,
     run,
 )
@@ -44,12 +41,6 @@ from oracles import state_budget
 
 def term(text, frees=None):
     return parse_term(text, free_vars=frees)[0]
-
-
-def j_trace(text, frees=None):
-    out = run(term(text, frees), Strategy.JT, 0, keep_trace=True)
-    assert isinstance(out, Hnf)
-    return out.trace
 
 
 # ---------- lockstep ----------
@@ -282,116 +273,137 @@ def test_read_corpus_resolves_named_constants(tmp_path):
     assert entry.term == App(H, OMEGA)
 
 
-# ---------- replaying and lifting J-traces ----------
+# ---------- the lifting lemma check ----------
 
 
-def test_replay_accepts_machine_traces():
-    for t in enumerate_terms(6, free_vars=1):
-        out = run(t, Strategy.JT, 0, keep_trace=True)
-        replay_j_trace(out.trace)  # must not raise
+def lift_row(corpus):
+    """The ``lifted_j_traces_replay`` row of the equivalence checks."""
+    report = lemma_suite(corpus, groups=["equivalence"])
+    return next(r for r in report.results if r.name == "lifted_j_traces_replay")
 
 
-def test_replay_rejects_a_non_j_step():
-    entry = TraceEntry(StepKind.T, term("(\\x.x) y"), term("y"), 0)
-    with pytest.raises(InvalidTrace, match="not a J-step"):
-        replay_j_trace([entry])
+def record_j_steps(monkeypatch):
+    """The terms the suite asks ``j_step`` to contract, in order; the
+    suite runs in this process, so that every call is seen."""
+    asked = []
+
+    def recording(t):
+        asked.append(t)
+        return j_step(t)
+
+    monkeypatch.setattr("lambdah.equivalence.j_step", recording)
+    _on_cpus(monkeypatch, 1)
+    return asked
 
 
-def test_replay_rejects_broken_chaining():
-    first = j_trace("H x y")[0]
-    second = j_trace("H w")[0]
-    with pytest.raises(InvalidTrace, match="chain"):
-        replay_j_trace([first, second])
+def test_the_lift_check_carries_a_wrap_past_an_appended_argument(monkeypatch):
+    asked = record_j_steps(monkeypatch)
+    row = lift_row([term("H x y", ("x", "y"))])
+    assert (row.checked, row.skipped, row.failed) == (1, 0, 0)
+    # the step, then the step with W = I appended; no drop to peel off
+    assert asked == [term("H x y", ("x", "y")), term("H x y I", ("x", "y"))]
 
 
-def test_replay_rejects_a_head_that_is_not_an_applied_h():
-    entry = TraceEntry(StepKind.J_DROP, Var(0), Var(0), 0)
-    with pytest.raises(InvalidTrace, match="applied H"):
-        replay_j_trace([entry])
+def test_the_lift_check_turns_a_drop_into_a_wrap_onto_the_argument(monkeypatch):
+    asked = record_j_steps(monkeypatch)
+    row = lift_row([term("H x", ("x",))])
+    assert (row.checked, row.skipped, row.failed) == (1, 0, 0)
+    # H x I -> x (H I), so W became H W, and one drop takes H I back to I
+    assert asked == [term("H x", ("x",)), term("H x I", ("x",)), term("H I")]
 
 
-def test_replay_rejects_a_kind_that_does_not_match_the_arity():
-    before = term("H x")
-    entry = TraceEntry(StepKind.J_WRAP, before, j_step(before), 0)
-    with pytest.raises(InvalidTrace, match="should be j_drop"):
-        replay_j_trace([entry])
+def test_the_lift_check_collects_one_h_per_drop(monkeypatch):
+    asked = record_j_steps(monkeypatch)
+    row = lift_row([term("H (H x)", ("x",))])
+    assert (row.checked, row.skipped, row.failed) == (1, 0, 0)
+    assert asked == [
+        term("H (H x)", ("x",)),
+        term("H (H x) I", ("x",)),
+        term("H x", ("x",)),
+        term("H x (H I)", ("x",)),
+        term("H (H I)"),
+        term("H I"),
+    ]
 
 
-def test_replay_rejects_a_fabricated_after_term():
-    entry = TraceEntry(StepKind.J_DROP, term("H x"), term("y", ("x", "y")), 0)
-    with pytest.raises(InvalidTrace, match="J-contraction"):
-        replay_j_trace([entry])
+def test_the_lift_check_peels_the_collected_hs_off_again(monkeypatch):
+    # a j_step that gets only the drop of H I wrong, which no step of the
+    # trace of H x asks for
+    monkeypatch.setattr(
+        "lambdah.equivalence.j_step", lambda t: H if t == App(H, I) else j_step(t)
+    )
+    row = lift_row([term("H x", ("x",))])
+    assert (row.checked, row.failed) == (1, 1)
+    assert row.failures == ["H v0: H^1 I does not drop to I"]
 
 
-def test_lift_with_no_arguments_is_the_identity():
-    trace = j_trace("H x y")
-    witness = lift_j_trace(trace, ())
-    assert witness.lifted == tuple(trace)
-    assert witness.primed_args == ()
-    assert witness.residuals == ()
+def test_the_lift_check_skips_steps_under_a_binder_prefix():
+    row = lift_row([term("\\z.H z")])
+    assert (row.checked, row.skipped, row.failed) == (0, 1, 0)
 
 
-def test_lift_carries_a_wrap_step_past_an_appended_argument():
-    frees = ("x", "y", "w")
-    trace = j_trace("H x y", frees)  # H x y -> x (H y), a wrap
-    w = term("w", frees)
-    witness = lift_j_trace(trace, (w,))
-    [entry] = witness.lifted
-    assert entry.kind is StepKind.J_WRAP
-    assert entry.before == term("H x y w", frees)
-    assert entry.after == term("x (H y) w", frees)
-    assert witness.primed_args == (w,)  # no drops, so nothing to undo
-    assert witness.residuals == ((),)
+def test_the_lift_check_holds_on_an_enumerated_corpus():
+    row = lift_row(enumerate_terms(6, free_vars=1))
+    assert (row.checked, row.skipped, row.failed) == (55, 395, 0)
 
 
-def test_lift_turns_a_drop_into_a_wrap_onto_the_first_argument():
-    frees = ("x", "w")
-    trace = j_trace("H x", frees)  # H x -> x, a drop
-    w = term("w", frees)
-    witness = lift_j_trace(trace, (w,))
-    [entry] = witness.lifted
-    assert entry.kind is StepKind.J_WRAP
-    assert entry.before == term("H x w", frees)
-    assert entry.after == term("x (H w)", frees)
-    assert witness.primed_args == (App(H, w),)
-    assert witness.residuals == ((TraceEntry(StepKind.J_DROP, App(H, w), w, 0),),)
+def _with_trace(change):
+    """``run`` whose traces pass through ``change``."""
+
+    def mutant(t, strategy, fuel, *, keep_trace=False):
+        out = run(t, strategy, fuel, keep_trace=keep_trace)
+        if not out.trace:
+            return out
+        return dataclasses.replace(out, trace=tuple(change(list(out.trace))))
+
+    return mutant
 
 
-def test_lift_accumulates_one_wrapper_per_drop():
-    frees = ("x", "w")
-    trace = j_trace("H (H x)", frees)  # two consecutive drops
-    assert [e.kind for e in trace] == [StepKind.J_DROP, StepKind.J_DROP]
-    w = term("w", frees)
-    witness = lift_j_trace(trace, (w,))
-    assert witness.primed_args == (App(H, App(H, w)),)
-    assert [e.kind for e in witness.lifted] == [StepKind.J_WRAP, StepKind.J_WRAP]
-    assert witness.lifted[0].before == term("H (H x) w", frees)
-    assert witness.lifted[1].after == term("x (H (H w))", frees)
-    assert len(witness.residuals[0]) == 2
+def _swap_kinds(trace):
+    other = {StepKind.J_WRAP: StepKind.J_DROP, StepKind.J_DROP: StepKind.J_WRAP}
+    return [dataclasses.replace(e, kind=other.get(e.kind, e.kind)) for e in trace]
 
 
-def test_lift_keeps_later_arguments_untouched():
-    frees = ("x", "w", "u")
-    trace = j_trace("H x", frees)
-    w, u = term("w", frees), term("u", frees)
-    witness = lift_j_trace(trace, (w, u))
-    assert witness.primed_args == (App(H, w), u)
-    assert witness.residuals[1] == ()
-    assert witness.lifted[0].after == term("x (H w) u", frees)
+def _replace_first(**change):
+    return lambda trace: [dataclasses.replace(trace[0], **change)] + trace[1:]
 
 
-def test_lift_rejects_steps_taken_under_a_binder():
-    trace = j_trace("\\z.H z")
-    assert spine(trace[0].before)[0] == 1
-    lift_j_trace(trace, ())  # fine while nothing is appended
-    with pytest.raises(InvalidTrace, match="binder prefix"):
-        lift_j_trace(trace, (I,))
+def _step_past_the_end(trace):
+    return trace + [dataclasses.replace(trace[-1], before=trace[-1].after)]
 
 
-def test_lift_validates_the_trace_before_lifting():
-    entry = TraceEntry(StepKind.T, term("(\\x.x) y"), term("y"), 0)
-    with pytest.raises(InvalidTrace):
-        lift_j_trace([entry], (I,))
+def _drop_does_nothing(t):
+    return t if not spine(t)[2] else j_step(t)
+
+
+@pytest.mark.parametrize(
+    "attr, mutant, problem",
+    [
+        pytest.param("run", _with_trace(_swap_kinds), "should be j_", id="kinds-swapped"),
+        pytest.param("j_step", _drop_does_nothing, "J-contraction", id="drop-does-nothing"),
+        pytest.param(
+            "run", _with_trace(lambda trace: trace[1:]), "does not chain", id="first-entry-lost"
+        ),
+        pytest.param(
+            "run", _with_trace(_replace_first(after=H)), "J-contraction", id="fabricated-after"
+        ),
+        pytest.param(
+            "run", _with_trace(_replace_first(kind=StepKind.T)), "t should be j_", id="t-entry"
+        ),
+        pytest.param(
+            "run",
+            _with_trace(_step_past_the_end),
+            "not an applied H",
+            id="step-past-the-end",
+        ),
+        pytest.param("j_step", i_step, "does not lift", id="j-step-as-i-step"),
+    ],
+)
+def test_the_lift_check_fails_on_a_mutant(attr, mutant, problem, monkeypatch):
+    monkeypatch.setattr(f"lambdah.equivalence.{attr}", mutant)
+    row = lift_row(enumerate_terms(6, free_vars=1))
+    assert row.failed > 0
+    assert problem in row.failures[0]
 
 
 # ---------- the invariant suite ----------

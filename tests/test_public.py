@@ -25,15 +25,21 @@ def test_all_lists_exactly_the_public_names_the_package_imports():
     assert set(lambdah.__all__) == public
 
 
-def test_every_patch_point_of_the_benchmark_tracer_resolves(monkeypatch):
-    # the traced benchmark replaces these names in their calling modules;
-    # one that no longer exists would only fail there
+def _tracing(monkeypatch):
+    """The benchmark tracer's module, loaded without writing bytecode."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
     )
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_patch_point_of_the_benchmark_tracer_resolves(monkeypatch):
+    # the traced benchmark replaces these names in their calling modules;
+    # one that no longer exists would only fail there
+    tracing = _tracing(monkeypatch)
     assert tracing.BOUNDARIES
     for module_name, attr, *_ in tracing.BOUNDARIES:
         module = importlib.import_module(module_name)
@@ -61,3 +67,19 @@ def test_no_module_imports_a_name_it_never_uses():
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno}: {name}")
     assert unused == []
+
+
+def test_every_import_kept_for_the_tracer_is_one_it_patches(monkeypatch):
+    # an import marked unused stays only so that a tracer row resolves;
+    # once the row is gone, so is the reason to keep the import
+    rows = {(module, attr) for module, attr, *_ in _tracing(monkeypatch).BOUNDARIES}
+    kept = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                "# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]
+            ):
+                kept += [(f"lambdah.{path.stem}", a.asname or a.name) for a in node.names]
+    assert [row for row in kept if row not in rows] == []
