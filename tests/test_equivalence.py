@@ -376,6 +376,26 @@ def _drop_does_nothing(t):
     return t if not spine(t)[2] else j_step(t)
 
 
+def test_replay_rejects_a_non_j_step(monkeypatch):
+    monkeypatch.setattr(
+        "lambdah.equivalence.run", _with_trace(_replace_first(kind=StepKind.T))
+    )
+    row = lift_row([term("H x y", ("x", "y"))])
+    assert (row.checked, row.failed) == (1, 1)
+    assert row.failures == ["H v0 v1: entry 0: t should be j_wrap"]
+
+
+def test_lift_validates_the_trace_before_lifting(monkeypatch):
+    asked = record_j_steps(monkeypatch)
+    monkeypatch.setattr(
+        "lambdah.equivalence.run", _with_trace(_replace_first(kind=StepKind.T))
+    )
+    row = lift_row([term("H x", ("x",))])
+    assert row.failed == 1
+    # the t entry is refused before its step is contracted or lifted
+    assert asked == []
+
+
 @pytest.mark.parametrize(
     "attr, mutant, problem",
     [
