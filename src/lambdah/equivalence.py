@@ -212,8 +212,10 @@ def _bridges(machine: MachineOutcome, substituted: MachineOutcome) -> bool:
 
 # Head reduction of U[J/H] simulates each J-step of the machine by a
 # short burst of t-steps (unfolding the fixed point), so that side gets
-# this many times the fuel.  20 is a guess; ROADMAP item 1 replaces it
-# with the exact equations between machine steps and beta steps.  The
+# this many times the fuel.  20 is a guess.  The bursts themselves are
+# exact: ``machines.run`` takes J's unfoldings as 5 t-steps with two or
+# more arguments, 4 with one and 3 with none, and ROADMAP item 1 builds
+# on those constants the exact equations that replace the ratio.  The
 # curated-corpus benchmark's reference pins an unknown J row to exactly
 # ``fuel * 20`` steps until a benchmark-only change loosens that pin.
 _J_FUEL_RATIO = 20

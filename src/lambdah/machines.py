@@ -52,6 +52,17 @@ takes the whole tower in one contraction and counts its n steps; with
 ``keep_trace`` it takes one level per entry, so the trace lists every
 step.  Outcomes, step counts and budgets are the same either way.
 
+``J = Y G`` (``terms.J``) unfolds syntactically, by a fixed number of
+t-steps in which no auxiliary step can fire: ``J M N`` reaches
+``M (J N)`` in 5, ``J M`` reaches ``\\z. M (J z)`` in 4, and ``J`` alone
+reaches ``\\y z. y (J z)`` in 3.  Without a trace ``run`` takes such an
+unfolding as one contraction and counts its steps, when the head and
+its first two arguments are the very objects of ``terms.J`` (as every
+``J`` from ``terms``, ``parse_term`` and ``subst_const_h`` is) and the
+fuel left covers the whole unfolding; otherwise it takes the steps one
+at a time.  Outcomes, step counts and final states are equal either
+way, and a J written out by hand reduces step by step to the same.
+
 ``fuel`` bounds t-steps only.  Running out of fuel means "unknown", and
 FuelExhausted says nothing about solvability.  The machines are
 deterministic, so a run that comes back to a state it held before a
@@ -95,7 +106,7 @@ from enum import Enum
 from typing import Iterator, Sequence
 
 from .syntax import format_term
-from .terms import Abs, App, Term, Tower, size, spine, substitute
+from .terms import G, J, Y, Abs, App, Term, Tower, Var, shift, size, spine, substitute
 
 
 # ---------- step kinds and traces ----------
@@ -281,13 +292,15 @@ def run(
     t_steps = aux_steps = aux_since_t = burst_cap = 0
     # Brent's cycle finding over the states before t-steps: one snapshot
     # of the binders, the head, a copy of the stack (the loop changes the
-    # stack in place) and the counts, taken at t-steps 2**k - 1.  A jump
+    # stack in place) and the counts, taken at the first such state at or
+    # past t-step 2**k - 1 (an unfolding of J can step past it).  A jump
     # needs two t-steps of fuel past the snapshot, and a trace lists
     # every step, so neither kind of run compares.
     seeking = trace is None and fuel > 1
     snap_stack: list[Term] | None = None
     snap_binders = snap_t = snap_aux = next_snap = 0
     snap_head = head
+    y_half = Y.fun
     while True:
         if aux is not None and head.__class__ is Tower:
             if aux_since_t == 0:
@@ -349,12 +362,17 @@ def run(
                     # Only the fuel test reads t_steps.  So whole periods
                     # add their counts, and the rest, fewer than a period,
                     # are taken for real up to the fuel boundary.
+                    # All of this is about the step-by-step run.  An
+                    # unfolding of J (below) ends at the state, with the
+                    # counts, that its n single t-steps reach, so the
+                    # snapshot and this state are both states of that run,
+                    # and after the jump the loop goes on following it.
                     period = t_steps - snap_t
                     laps = (fuel - t_steps) // period
                     t_steps += laps * period
                     aux_steps += laps * (aux_steps - snap_aux)
                     seeking = False
-                elif t_steps == next_snap:
+                elif t_steps >= next_snap:
                     snap_binders, snap_head, snap_stack = binders, head, stack.copy()
                     snap_t, snap_aux = t_steps, aux_steps
                     next_snap = 2 * t_steps + 1
@@ -362,15 +380,48 @@ def run(
                 stop = FuelExhausted
                 break
             kind = StepKind.T
-            t_steps += 1
             aux_since_t = 0
-            # the body's own arguments go straight onto the stack, each
-            # substituted on its own, so its spine is never rebuilt
-            body, value = head.body, stack.pop()
-            while body.__class__ is App:
-                stack.append(substitute(body.arg, value))
-                body = body.fun
-            new = substitute(body, value)
+            # J = Y G unfolds in a fixed number of t-steps, where Y' is Y
+            # as the first step rebuilds it:
+            #   Y G M N -> (\f. f (Y' f)) G M N -> G (Y' G) M N
+            #     -> (\y z. y (Y' G z)) M N -> (\z. M (Y' G z)) N
+            #     -> M (Y' G N)
+            # Each head passed is an abstraction with an argument waiting,
+            # so no aux step and no state budget falls inside, under IT
+            # and JT as under T_HEAD, and the arguments after N stay put.
+            # With one argument the fourth step leaves \z. M (Y' G z), M
+            # shifted under the new binder, and bare J the third
+            # \y z. y (Y' G z); no argument waits for these abstractions,
+            # so their binders join the state's.  Y' G equals J, so an
+            # untraced run with fuel for all n steps takes them as one
+            # contraction; short of fuel it takes them one at a time and
+            # stops where the step-by-step run stops.
+            if (
+                head is y_half
+                and trace is None
+                and len(stack) > 1
+                and stack[-1] is y_half
+                and stack[-2] is G
+                and fuel - t_steps >= (n := min(len(stack), 4) + 1)
+            ):
+                t_steps += n
+                del stack[-2:]
+                if n == 5:
+                    new = stack.pop()
+                    stack[-1] = App(J, stack[-1])
+                else:
+                    new = shift(stack.pop(), 1) if n == 4 else Var(1)
+                    stack.append(App(J, Var(0)))
+                    binders += 5 - n
+            else:
+                t_steps += 1
+                # the body's own arguments go straight onto the stack,
+                # each substituted on its own, so its spine is never rebuilt
+                body, value = head.body, stack.pop()
+                while body.__class__ is App:
+                    stack.append(substitute(body.arg, value))
+                    body = body.fun
+                new = substitute(body, value)
         else:
             stop = Hnf
             break

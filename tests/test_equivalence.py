@@ -11,7 +11,6 @@ import pytest
 import lambdah.equivalence
 
 from lambdah.equivalence import (
-    AgreementRow,
     BothHnf,
     BothRunning,
     Diverged,
@@ -35,7 +34,7 @@ from lambdah.machines import (
     run,
 )
 from lambdah.syntax import parse_term
-from lambdah.terms import I, OMEGA, Abs, App, H, Term, Var, apply_args, size, spine
+from lambdah.terms import I, OMEGA, Abs, App, H, Var, apply_args, size, spine
 from oracles import state_budget
 
 

@@ -608,6 +608,63 @@ def test_a_j_wrap_burst_over_a_long_spine():
     assert (wrapped, height) == (rest[0], n)
 
 
+# ---------- J unfolds whole ----------
+
+# J M N reaches M (J N) in five t-steps, J M reaches \z. M (J z) in four
+# and bare J reaches \y z. y (J z) in three; an untraced run with the
+# fuel for them takes them as one contraction.
+UNFOLDINGS = {
+    "J x y": (5, "x (J y)"),
+    "J x": (4, "\\z. x (J z)"),
+    "J": (3, "\\y z. y (J z)"),
+}
+
+
+@pytest.mark.parametrize("text", UNFOLDINGS)
+def test_j_unfolds_in_a_fixed_number_of_t_steps(text):
+    steps, result = UNFOLDINGS[text]
+    t, names = parse_term(text)
+    out = run(t, Strategy.T_HEAD, 100)
+    assert isinstance(out, Hnf)
+    assert out.t_steps == steps
+    assert out.result == parse_term(result, names)[0]
+
+
+@pytest.mark.parametrize("text", UNFOLDINGS)
+def test_j_short_of_fuel_for_its_unfolding_steps_one_at_a_time(text):
+    steps, _ = UNFOLDINGS[text]
+    t = term(text)
+    for strategy in Strategy:
+        args = (t, strategy, steps - 1)
+        assert outcome_text(run, *args) == outcome_text(reference_run, *args)
+
+
+def test_unfoldings_match_the_reference_driver_on_small_terms_beside_j():
+    for t in enumerate_terms(5, free_vars=2):
+        for u in (subst_const_h(t, J), App(t, J), App(App(J, t), H), App(App(H, J), t)):
+            for strategy, fuel in product(Strategy, (*range(8), 40)):
+                args = (u, strategy, fuel)
+                assert outcome_text(run, *args) == outcome_text(reference_run, *args), args
+
+
+def test_the_duplicators_j_side_unfolds_without_substituting(monkeypatch):
+    # step by step it takes 3,972 substitutions
+    allow_substitutions(monkeypatch, 100)
+    out = run(subst_const_h(term(DOUBLER), J), Strategy.T_HEAD, 2000)
+    assert isinstance(out, FuelExhausted) and out.t_steps == 2000
+
+
+def test_a_j_spelled_out_reduces_like_j():
+    spelled = term("(\\z f.f (z z f)) (\\z f.f (z z f)) (\\x y z.y (x z))")
+    assert spelled == J and spelled is not J
+    for text in ("H x y", "H x", "H", DOUBLER):
+        u = term(text)
+        for strategy, fuel in product(Strategy, (3, 4, 5, 300)):
+            assert run(subst_const_h(u, spelled), strategy, fuel) == run(
+                subst_const_h(u, J), strategy, fuel
+            )
+
+
 # ---------- solvability ----------
 
 
