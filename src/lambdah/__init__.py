@@ -19,7 +19,7 @@ from .equivalence import (
     read_corpus,
     theorem_check,
 )
-from .extraction import EShape, ShapeViolation, classify, extract
+from .extraction import extract
 from .gen import (
     enumerate_terms,
     term_stream,
@@ -70,13 +70,12 @@ from .terms import (
 
 __all__ = [
     "Abs", "AgreementRow", "App", "AuxCapExceeded", "BUILTINS", "BothHnf",
-    "BothRunning", "ConstH", "Diverged", "EMismatch", "EShape",
-    "FuelExhausted", "G", "H", "Hnf", "I", "J", "LockstepReport",
-    "MachineOutcome", "OMEGA", "Overflow", "ParseError", "ShapeViolation",
-    "StepError", "StepKind", "Strategy", "SuiteReport", "Term", "Tower",
-    "TraceEntry", "UnboundVariable", "Var", "Y", "apply_args", "classify",
-    "enumerate_terms", "extract", "format_term", "i_step", "j_step",
-    "lemma_suite", "lockstep", "parse_term", "read_corpus", "run", "shift",
-    "size", "spine", "subst_const_h", "substitute", "t_step", "term_stream",
-    "theorem_check", "wrap_applied_h",
+    "BothRunning", "ConstH", "Diverged", "EMismatch", "FuelExhausted", "G",
+    "H", "Hnf", "I", "J", "LockstepReport", "MachineOutcome", "OMEGA",
+    "Overflow", "ParseError", "StepError", "StepKind", "Strategy",
+    "SuiteReport", "Term", "Tower", "TraceEntry", "UnboundVariable", "Var",
+    "Y", "apply_args", "enumerate_terms", "extract", "format_term", "i_step",
+    "j_step", "lemma_suite", "lockstep", "parse_term", "read_corpus", "run",
+    "shift", "size", "spine", "subst_const_h", "substitute", "t_step",
+    "term_stream", "theorem_check", "wrap_applied_h",
 ]

@@ -13,16 +13,15 @@ The side condition is decided on the application spine only: binders are
 never stripped while looking for the head, so a bare H (no arguments) is
 kept while an applied H disappears and its first argument takes over as
 operator.  The map is idempotent, and its image never contains an
-application whose operator spine ends in H; consequently every image has
-one of exactly three shapes, classified by ``classify``.
+application whose operator spine ends in H, so the head ``spine`` finds
+in an image is a variable, an abstraction or a bare H, never a tower.
 """
 
 from __future__ import annotations
 
-from enum import Enum
-
-from .syntax import format_term
-from .terms import Abs, App, ConstH, Term, Tower, Var, spine
+from .terms import Abs, App, ConstH, Term, Tower
+# unused here, but kept as the name the benchmark's tracer patches
+from .terms import spine  # noqa: F401
 
 
 # the rebuild marker of an abstraction on the work stack of ``extract``
@@ -76,38 +75,3 @@ def extract(t: Term) -> Term:
                 todo += args
             todo.append(t)
     return done[0]
-
-
-class EShape(Enum):
-    """The three possible shapes of an extraction image.
-
-    LAMBDA_H:          lam x1 .. xn. H            (bare H head, no arguments)
-    LAMBDA_VAR_APPS:   lam x1 .. xn. x V1 .. Vk   (head variable)
-    LAMBDA_REDEX_APPS: lam x1 .. xn. (lam x. U) V V1 .. Vk  (head beta redex)
-    """
-
-    LAMBDA_H = "lambda_h"
-    LAMBDA_VAR_APPS = "lambda_var_apps"
-    LAMBDA_REDEX_APPS = "lambda_redex_apps"
-
-
-class ShapeViolation(Exception):
-    """An alleged extraction image has an applied H at its head."""
-
-    def __init__(self, t: Term):
-        super().__init__(
-            f"applied H at the head of an extraction image: {format_term(t)}"
-        )
-        self.term = t
-
-
-def classify(image: Term) -> EShape:
-    cls = spine(image)[1].__class__
-    if cls is Var:
-        return EShape.LAMBDA_VAR_APPS
-    if cls is Abs:
-        return EShape.LAMBDA_REDEX_APPS
-    if cls is Tower:
-        raise ShapeViolation(image)
-    return EShape.LAMBDA_H
-

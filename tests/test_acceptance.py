@@ -7,10 +7,14 @@ binders, and inside arguments.  All counts below are frozen: the
 generators are pure functions of their seeds, so a changed count means
 changed behaviour.
 
+The extraction laws and the single-step invariants are the checks of
+the registry that ``lambdah check`` prints, run by ``lemma_suite``
+once over the 10,184-term corpus (its extraction and machines groups);
+the other tests rest on oracles of their own.
+
 Each test prints one PASS line with its scale and timing; run with
 ``pytest tests/test_acceptance.py -v -s`` to see them.  The whole file
-takes about 3 s on two cores, most of it the extraction laws over the
-10,184-term corpus.
+takes about 3 s on two cores, most of it the registry run.
 """
 
 import time
@@ -22,19 +26,13 @@ import pytest
 from lambdah.equivalence import (
     Diverged,
     EMismatch,
+    lemma_suite,
     lockstep,
     read_corpus,
 )
-from lambdah.extraction import ShapeViolation, classify, extract
+from lambdah.extraction import extract
 from lambdah.gen import enumerate_terms, term_stream
-from lambdah.machines import (
-    FuelExhausted,
-    Hnf,
-    Strategy,
-    i_step,
-    j_step,
-    run,
-)
+from lambdah.machines import FuelExhausted, Hnf, Strategy, run
 from lambdah.syntax import format_term, parse_term
 from lambdah.terms import (
     I,
@@ -42,17 +40,13 @@ from lambdah.terms import (
     OMEGA,
     Abs,
     App,
-    H,
-    Tower,
     Var,
-    apply_args,
     size,
     spine,
     subst_const_h,
     substitute,
 )
 from oracles import (
-    application_spine,
     count_h_and_apps,
     count_terms,
     finished_burst,
@@ -67,8 +61,6 @@ RANDOM_SIZE = 25
 H_WEIGHT = 0.5
 
 CONTEXT_FILE = Path(__file__).parent / "data" / "contexts.txt"
-
-PROBES = (I, H, Abs(H), App(H, H), Abs(Abs(Var(1))), Abs(App(Var(0), H)))
 
 
 @pytest.fixture(scope="module")
@@ -87,51 +79,42 @@ def corpus(closed6, random_corpus):
     return closed6 + random_corpus
 
 
-def test_extraction_laws_hold_at_scale(corpus):
+@pytest.fixture(scope="module")
+def registry(corpus):
+    """The registry's extraction and machines rows over the corpus, by
+    name, and the seconds the run took."""
     start = time.monotonic()
-    bad = []
-    for t in corpus:
-        image = extract(t)
-        if extract(image) != image:
-            bad.append(("idempotence", format_term(t)))
-        base, args = application_spine(t)
-        for split in range(len(args)):
-            operator = apply_args(base, args[:split])
-            rebuilt = apply_args(
-                extract(operator), [extract(a) for a in args[split:]]
-            )
-            if extract(rebuilt) != image:
-                bad.append(("collapse", format_term(t)))
-                break
-        if isinstance(t, Abs):
-            for value in PROBES:
-                lhs = extract(substitute(t.body, value))
-                rhs = extract(substitute(extract(t.body), extract(value)))
-                if lhs != rhs:
-                    bad.append(("substitution", format_term(t)))
-                    break
-        try:
-            classify(image)
-        except ShapeViolation:
-            bad.append(("shape", format_term(t)))
+    report = lemma_suite(corpus, groups=["extraction", "machines"])
     elapsed = time.monotonic() - start
+    return {r.name: r for r in report.results}, elapsed
+
+
+def test_extraction_laws_hold_at_scale(corpus, registry):
+    rows, elapsed = registry
+    laws = [r for r in rows.values() if r.group == "extraction"]
+    assert [r.name for r in laws] == [
+        "extract_idempotent",
+        "extract_application_collapse",
+        "extract_commutes_with_substitution",
+        "extract_pair_congruence",
+        "extract_image_shape",
+        "extract_no_applied_h",
+    ]
     assert len(corpus) == 184 + RANDOM_COUNT
-    assert bad == []
+    for r in laws:
+        assert r.checked + r.skipped == len(corpus), r.name
+        assert r.failures == [] and r.failed == 0, r.name
     assert elapsed < 60.0
     print(f"PASS extraction laws: {len(corpus)} terms, 0 counterexamples, {elapsed:.1f}s")
 
 
-def test_single_aux_steps_preserve_the_image(corpus):
-    checked = 0
-    for t in corpus:
-        if not isinstance(spine(t)[1], Tower):
-            continue
-        checked += 1
-        image = extract(t)
-        assert extract(i_step(t)) == image, format_term(t)
-        assert extract(j_step(t)) == image, format_term(t)
-    assert checked == 2017  # applied-H terms in the frozen corpus
-    print(f"PASS step invariance: {checked} applied-H terms, I and J steps image-stable")
+def test_single_aux_steps_preserve_the_image(registry):
+    rows, _ = registry
+    assert all(r.ok for r in rows.values() if r.group == "machines")
+    # applied-H terms in the frozen corpus, each stepped once by I and J
+    assert rows["i_step_shrinks_and_preserves_image"].checked == 2017
+    assert rows["j_step_preserves_image"].checked == 2017
+    print("PASS step invariance: 2017 applied-H terms, I and J steps image-stable")
 
 
 def test_pure_strategies_terminate_within_their_caps(corpus):

@@ -22,6 +22,7 @@ from lambdah.equivalence import (
     read_corpus,
     theorem_check,
 )
+from lambdah.extraction import extract
 from lambdah.gen import enumerate_terms, term_stream, wrap_applied_h
 from lambdah.machines import (
     FuelExhausted,
@@ -34,7 +35,7 @@ from lambdah.machines import (
     run,
 )
 from lambdah.syntax import parse_term
-from lambdah.terms import I, OMEGA, Abs, App, H, Var, apply_args, size, spine
+from lambdah.terms import I, OMEGA, Abs, App, H, Tower, Var, apply_args, size, spine
 from oracles import state_budget
 
 
@@ -449,15 +450,67 @@ def test_lemma_suite_rejects_an_unknown_group():
         lemma_suite([H], groups=["extration", "machines"])
 
 
-def test_lemma_suite_reports_counterexamples_when_extraction_is_broken(monkeypatch):
-    # identity is idempotent, so only the shape checks notice the stub
-    monkeypatch.setattr("lambdah.equivalence.extract", lambda t: t)
-    report = lemma_suite(enumerate_terms(5, free_vars=1), groups=["extraction"])
-    assert not report.ok
-    by_name = {r.name: r for r in report.results}
-    assert not by_name["extract_no_applied_h"].ok
-    assert not by_name["extract_image_shape"].ok
-    assert by_name["extract_idempotent"].ok
+def _drop_outer_binder(t):
+    image = extract(t)
+    return image.body if image.__class__ is Abs else image
+
+
+def _last_argument_unextracted(t):
+    return App(extract(t.fun), t.arg) if t.__class__ is App else extract(t)
+
+
+def _keep_one_h_of_a_leading_tower(t):
+    if t.__class__ is Tower and t.height > 1:
+        return Tower(1, extract(t.base))
+    return extract(t)
+
+
+_set_abs_holds_tower = lambdah.terms._set_abs_holds_tower
+
+
+def _abs_without_holds_tower(node, flag):
+    _set_abs_holds_tower(node, False)
+
+
+@pytest.mark.parametrize(
+    "target, mutant, failed",
+    [
+        pytest.param(
+            "equivalence.extract", lambda t: t, (0, 0, 113, 186, 99, 125), id="identity"
+        ),
+        pytest.param(
+            "equivalence.extract",
+            _drop_outer_binder,
+            (121, 153, 95, 0, 0, 0),
+            id="outer-binder-dropped",
+        ),
+        pytest.param(
+            "equivalence.extract",
+            _last_argument_unextracted,
+            (5, 19, 55, 44, 5, 19),
+            id="last-argument-unextracted",
+        ),
+        pytest.param(
+            "equivalence.extract",
+            _keep_one_h_of_a_leading_tower,
+            (5, 5, 13, 8, 5, 5),
+            id="one-h-of-a-leading-tower-kept",
+        ),
+        pytest.param(
+            "terms._set_abs_holds_tower",
+            _abs_without_holds_tower,
+            (0, 0, 55, 115, 47, 62),
+            id="abs-drops-holds-tower",
+        ),
+    ],
+)
+def test_the_extraction_checks_fail_on_a_mutant(target, mutant, failed, monkeypatch):
+    # failures of each extraction check, in registry order: idempotent,
+    # collapse, substitution, pair congruence, image shape, no applied H;
+    # every check fails on some mutant, so none of them passes vacuously
+    monkeypatch.setattr(f"lambdah.{target}", mutant)
+    report = lemma_suite(enumerate_terms(6, free_vars=1), groups=["extraction"])
+    assert tuple(r.failed for r in report.results) == failed
 
 
 def test_lemma_suite_caps_recorded_failures_at_four(monkeypatch):
