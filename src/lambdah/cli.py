@@ -29,6 +29,7 @@ from .equivalence import (
     EMismatch,
     agreement_row_json,
     agreement_tally,
+    corpus_lines,
     lemma_suite,
     lockstep,
     read_corpus,
@@ -45,7 +46,7 @@ from .machines import (
     run,
     trace_json,
 )
-from .syntax import ParseError, format_term, parse_term, source_lines
+from .syntax import ParseError, format_term, parse_term
 
 
 # ---------- subcommands ----------
@@ -54,8 +55,7 @@ from .syntax import ParseError, format_term, parse_term, source_lines
 def _cmd_fmt(args) -> int:
     source = sys.stdin if args.file == "-" else open(args.file, encoding="utf-8")
     try:
-        for line in source_lines(source):
-            term, names = parse_term(line)
+        for _, term, names in corpus_lines(source):
             print(format_term(term, names))
     finally:
         if source is not sys.stdin:  # the caller's stdin stays open

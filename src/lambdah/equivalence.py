@@ -26,7 +26,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from itertools import takewhile
-from typing import BinaryIO, Callable, Iterable, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from .extraction import extract
 from .gen import wrap_applied_h
@@ -41,7 +41,7 @@ from .machines import (
     run,
     t_step,
 )
-from .syntax import format_term, parse_term, source_lines
+from .syntax import ParseError, format_term, parse_term
 from .terms import (
     Abs,
     App,
@@ -283,15 +283,27 @@ class CorpusEntry:
     term: Term
 
 
+def corpus_lines(lines: Iterable[str]) -> Iterator[tuple[str, Term, tuple[str, ...]]]:
+    """The contexts of a corpus file, one per line, read lazily, each as
+    its text, term and free variables: '#' starts a comment and blank
+    lines are ignored.  A ParseError names the line of the file and the
+    column in that line."""
+    for number, raw in enumerate(lines, 1):
+        text = raw.split("#", 1)[0].strip()
+        if text:
+            try:
+                term, names = parse_term(text)
+            except ParseError as exc:
+                indent = len(raw) - len(raw.lstrip())
+                raise ParseError(exc.message, number, exc.col + indent) from None
+            yield text, term, names
+
+
 def read_corpus(path: str | os.PathLike) -> list[CorpusEntry]:
-    """One context per line; '#' starts a comment; blank lines ignored.
+    """The contexts of the corpus file at ``path`` (``corpus_lines``).
     The uppercase names I, J, Y, G and Omega expand to their combinators."""
-    entries: list[CorpusEntry] = []
     with open(path, encoding="utf-8") as fh:
-        for line in source_lines(fh):
-            term, names = parse_term(line)
-            entries.append(CorpusEntry(line, names, term))
-    return entries
+        return [CorpusEntry(text, names, term) for text, term, names in corpus_lines(fh)]
 
 
 # ---------- invariant suite ----------
@@ -576,16 +588,14 @@ def _lift_replays(t: Term):
     return None if w == I else f"{format_term(t)}: H^{drops} I does not drop to I"
 
 
-# The most processes that share the suite.  The two checks that draw
-# from the seeded rng are one task that cannot be split, and on
-# `check`'s benchmark corpus (6,985 terms) it took 12 % to 21 % of four
-# sequential passes.  No pass ends before that task does, so past five
-# to eight processes more cannot make a pass shorter; each costs a fork
-# and about 14 MB of resident memory, much of it shared with the
-# caller.  The bound also
-# keeps the task ids, all written to one pipe before any process reads
-# them, within the 4,096 bytes that are the least a Linux pipe holds:
-# 16 checks in 8 blocks make 113 ids, 226 bytes.
+# The most processes that share the suite, and the number of contiguous
+# blocks that every check's corpus is cut into.  The blocks are the same
+# for any number of processes, so a block's tally and draws are too.
+# Each process costs a fork and about 14 MB of resident memory, much of
+# it shared with the caller.  The bound also keeps the task ids, all
+# written to one pipe before any process reads them, within the 4,096
+# bytes that are the least a Linux pipe holds: 16 checks in 8 blocks
+# make 128 ids, 256 bytes.
 _MAX_JOBS = 8
 
 
@@ -610,7 +620,7 @@ def _tally(fn: Callable, terms: Sequence[Term]) -> tuple[int, int, int, list[str
     return checked, skipped, failed, failures
 
 
-def _run_tasks(count: int, run_task: Callable[[int], list], jobs: int) -> list[list]:
+def _run_tasks(count: int, run_task: Callable[[int], tuple], jobs: int) -> list[tuple]:
     """``[run_task(i) for i in range(count)]``, shared by up to ``jobs``
     processes: the caller and forked children.
 
@@ -629,7 +639,7 @@ def _run_tasks(count: int, run_task: Callable[[int], list], jobs: int) -> list[l
     os.write(queue_w, b"".join(i.to_bytes(2, "little") for i in range(count)))
     os.close(queue_w)
 
-    def drain() -> dict[int, list]:
+    def drain() -> dict[int, tuple]:
         mine = {}
         while ident := os.read(queue, 2):
             i = int.from_bytes(ident, "little")
@@ -682,8 +692,9 @@ def lemma_suite(
     failure on the offending term rather than aborting the sweep.
 
     One process per CPU that this one may use (its affinity mask, as
-    ``taskset`` sets it), at most eight, shares the work, and the report
-    is the same for any number of them: counts, failures and their order.
+    ``taskset`` sets it), at most eight, shares the work.  A check's row,
+    its counts, failures and their order, is the same for any number of
+    them and whichever ``groups`` run beside it.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -695,21 +706,18 @@ def lemma_suite(
     wanted = set(groups) if groups else every
     if wanted - every:
         raise ValueError(f"unknown check group: {', '.join(sorted(wanted - every))}")
-    rng = random.Random(seed)
-    pair_congruence = _make_pair_congruence(rng)
-    paired_t_step = _make_paired_t_step(rng)
     checks: list[tuple[str, str, Callable]] = [
         ("extract_idempotent", "extraction", _extract_idempotent),
         ("extract_application_collapse", "extraction", _extract_collapse),
         ("extract_commutes_with_substitution", "extraction", _extract_substitution),
-        ("extract_pair_congruence", "extraction", pair_congruence),
+        ("extract_pair_congruence", "extraction", _make_pair_congruence),
         ("extract_image_shape", "extraction", _extract_shape),
         ("extract_no_applied_h", "extraction", _extract_no_applied_h),
         ("i_step_shrinks_and_preserves_image", "machines", _i_step_invariant),
         ("j_step_preserves_image", "machines", _j_step_invariant),
         ("pure_i_terminates", "machines", _pure_i_terminates),
         ("pure_j_terminates", "machines", _pure_j_terminates),
-        ("paired_t_steps_preserve_image", "machines", paired_t_step),
+        ("paired_t_steps_preserve_image", "machines", _make_paired_t_step),
         ("application_solvability", "machines", _make_application_solvability(fuel)),
         ("machine_determinism", "machines", _make_determinism(fuel)),
         ("lockstep_images_agree", "equivalence", _make_lockstep(max_t)),
@@ -717,31 +725,23 @@ def lemma_suite(
         ("lifted_j_traces_replay", "equivalence", _lift_replays),
     ]
     checks = [check for check in checks if check[1] in wanted]
-    # A task is a list of (check, block, first term, end).  The two checks
-    # that draw from rng share one task over the whole corpus, in registry
-    # order, so their draws are the sequential ones; it is the largest
-    # task, so it goes first.  Every other check is cut into blocks.
-    drawing = [
-        c for c, check in enumerate(checks) if check[2] in (pair_congruence, paired_t_step)
-    ]
-    cuts = [len(terms) * k // jobs for k in range(jobs + 1)]
-    tasks = [[(c, 0, 0, len(terms)) for c in drawing]] if drawing else []
-    tasks += [
-        [(c, k, cuts[k], cuts[k + 1])]
-        for c in range(len(checks))
-        if c not in drawing
-        for k in range(jobs)
-    ]
+    # Task i is check i // _MAX_JOBS over block i % _MAX_JOBS.  A check
+    # that draws gets a generator of its own in each block, seeded by a
+    # str (hashed with SHA-512, the same on every Python version), so its
+    # draws depend on neither the processes nor the other checks.
+    cuts = [len(terms) * k // _MAX_JOBS for k in range(_MAX_JOBS + 1)]
 
-    def run_task(i: int) -> list:
-        return [
-            (c, k, *_tally(checks[c][2], terms[lo:end])) for c, k, lo, end in tasks[i]
-        ]
+    def run_task(i: int) -> tuple:
+        c, k = divmod(i, _MAX_JOBS)
+        name, _, check = checks[c]
+        if check in (_make_pair_congruence, _make_paired_t_step):
+            check = check(random.Random(f"{seed} {name} {k}"))
+        return _tally(check, terms[cuts[k] : cuts[k + 1]])
 
     results = [CheckResult(name, group) for name, group, _ in checks]
-    parts = [part for done in _run_tasks(len(tasks), run_task, jobs) for part in done]
-    for c, _, checked, skipped, failed, failures in sorted(parts, key=lambda p: p[:2]):
-        result = results[c]
+    done = _run_tasks(len(checks) * _MAX_JOBS, run_task, jobs)
+    for i, (checked, skipped, failed, failures) in enumerate(done):
+        result = results[i // _MAX_JOBS]
         result.checked += checked
         result.skipped += skipped
         result.failed += failed

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import re
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .terms import G, I, J, OMEGA, Abs, App, H, Term, Tower, Var, Y
 
@@ -54,6 +54,7 @@ BUILTINS = {"I": I, "J": J, "Y": Y, "G": G, "Omega": OMEGA}
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"line {line}, column {col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 
@@ -62,17 +63,6 @@ class UnboundVariable(Exception):
     def __init__(self, name: str):
         super().__init__(f"unbound variable: {name}")
         self.name = name
-
-
-def source_lines(lines: Iterable[str]) -> Iterator[str]:
-    """The non-blank lines of a file of terms, with '#' comments removed.
-
-    Lazy, so a stream is read one line at a time.
-    """
-    for raw in lines:
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line
 
 
 # ---------- tokenizer ----------

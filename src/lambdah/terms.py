@@ -43,12 +43,12 @@ expanded term.  ``fv``, equality and hashing stay structural, and
 ``size`` counts the expanded nodes, 2n + size(M) for a tower of height n.
 
 ``spine`` is the one unwinding of a term, ``lam x1 .. xb. h a1 .. an``,
-shared by the machines, extraction and the checks.  The head ``h`` is a
-variable, a bare H, a tower (an applied H, taken whole), or an
-abstraction with an argument waiting (a beta redex); exactly one case
-applies.  Head normal forms are the terms whose head is a variable (any
-number of arguments) or a bare H (no arguments at all: an applied H is
-work left to do, not a result).
+shared by the machines and the checks (extraction has a loop of its
+own).  The head ``h`` is a variable, a bare H, a tower (an applied H,
+taken whole), or an abstraction with an argument waiting (a beta
+redex); exactly one case applies.  Head normal forms are the terms
+whose head is a variable (any number of arguments) or a bare H (no
+arguments at all: an applied H is work left to do, not a result).
 
 No walk over a term recurses.  Equality, hashing, shifting,
 substitution and ``subst_const_h`` keep their work on explicit stacks,

@@ -292,6 +292,16 @@ def test_parse_error_exits_2(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["fmt", "corpus"])
+def test_a_parse_error_in_a_file_names_its_line_and_column(command, capsys, tmp_path):
+    path = tmp_path / "terms.txt"
+    path.write_text("x\n# c\ny z\n \t(\\x.x  # open\n")
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 4, column 8: expected ')', found 'end of input'\n"
+    )
+
+
 def test_unknown_constant_exits_2(capsys):
     assert main(["extract", "H K"]) == 2
     assert capsys.readouterr().err.startswith("error:")

@@ -17,6 +17,7 @@ from lambdah.equivalence import (
     EMismatch,
     agreement_row_json,
     agreement_tally,
+    corpus_lines,
     lemma_suite,
     lockstep,
     read_corpus,
@@ -273,6 +274,17 @@ def test_read_corpus_resolves_named_constants(tmp_path):
     assert entry.term == App(H, OMEGA)
 
 
+def test_corpus_lines_drop_comments_and_blanks_lazily():
+    def lines():
+        yield "x  # a comment\n"
+        yield "   \n"
+        yield "# only a comment\n"
+        yield " y z \n"
+        raise AssertionError("read past the line asked for")
+
+    assert [text for text, _, _ in islice(corpus_lines(lines()), 2)] == ["x", "y z"]
+
+
 # ---------- the lifting lemma check ----------
 
 
@@ -487,19 +499,19 @@ def _abs_without_holds_tower(node, flag):
         pytest.param(
             "equivalence.extract",
             _last_argument_unextracted,
-            (5, 19, 55, 44, 5, 19),
+            (5, 19, 55, 49, 5, 19),
             id="last-argument-unextracted",
         ),
         pytest.param(
             "equivalence.extract",
             _keep_one_h_of_a_leading_tower,
-            (5, 5, 13, 8, 5, 5),
+            (5, 5, 13, 9, 5, 5),
             id="one-h-of-a-leading-tower-kept",
         ),
         pytest.param(
             "terms._set_abs_holds_tower",
             _abs_without_holds_tower,
-            (0, 0, 55, 115, 47, 62),
+            (0, 0, 55, 116, 47, 62),
             id="abs-drops-holds-tower",
         ),
     ],
@@ -511,6 +523,24 @@ def test_the_extraction_checks_fail_on_a_mutant(target, mutant, failed, monkeypa
     monkeypatch.setattr(f"lambdah.{target}", mutant)
     report = lemma_suite(enumerate_terms(6, free_vars=1), groups=["extraction"])
     assert tuple(r.failed for r in report.results) == failed
+
+
+def _wrap_the_last_argument(head, n, wrap, stack):
+    # a j_wrap that moves its H's onto the last argument, not the next one
+    if wrap:
+        stack[0] = Tower(n, stack[0])
+    return Tower(head.height - n, head.base)
+
+
+def test_only_the_lift_check_sees_a_wrap_onto_the_last_argument(monkeypatch):
+    # extraction erases an H wherever it lands, so no image check can see
+    # where the wrap put it; the lift check appends an argument, which
+    # then is the last one, and sees the H land on it
+    monkeypatch.setattr("lambdah.machines._lower", _wrap_the_last_argument)
+    report = lemma_suite(enumerate_terms(6, free_vars=1), fuel=100, max_t=30)
+    assert {r.name: r.failed for r in report.results if r.failed} == {
+        "lifted_j_traces_replay": 16
+    }
 
 
 def test_lemma_suite_caps_recorded_failures_at_four(monkeypatch):
@@ -561,16 +591,17 @@ def test_lemma_suite_reports_the_same_on_one_two_and_three_cpus(broken, monkeypa
     assert reports[0] == reports[1] == reports[2]
     assert reports[0].ok is not broken
     if broken:
-        # the first of three blocks holds fewer than four of this check's
-        # failures, so its first four come from more than one block
+        # the first of the eight blocks holds fewer than four of this
+        # check's failures, so its first four come from more than one block
         name = "lockstep_images_agree"
-        first_block = lemma_suite(corpus[: len(corpus) // 3], groups=["equivalence"])
+        first_block = lemma_suite(corpus[: len(corpus) // 8], groups=["equivalence"])
         assert next(r for r in first_block.results if r.name == name).failed < 4
         whole = next(r for r in reports[0].results if r.name == name)
         assert whole.failed > 4 and len(whole.failures) == 4
 
 
-def test_lemma_suite_draws_from_one_rng_in_sequential_order(monkeypatch):
+def _recording_wraps(monkeypatch):
+    """Record every wrap_applied_h output that lemma_suite draws."""
     recorded = []
 
     def recording(*args, **kwargs):
@@ -579,19 +610,41 @@ def test_lemma_suite_draws_from_one_rng_in_sequential_order(monkeypatch):
 
     monkeypatch.setattr("lambdah.equivalence.wrap_applied_h", recording)
     _on_cpus(monkeypatch, 1)  # so that every draw is made in this process
+    return recorded
+
+
+def test_lemma_suite_draws_from_a_generator_of_each_check_and_block(monkeypatch):
+    recorded = _recording_wraps(monkeypatch)
     corpus = _mixed_corpus()
     lemma_suite(corpus, seed=7)
-    rng = random.Random(7)
     probes = lambdah.equivalence._PROBES
+    cuts = [len(corpus) * k // 8 for k in range(9)]
     replay = []
-    for t in corpus:  # extract_pair_congruence
-        if isinstance(t, Abs):
-            replay.append(wrap_applied_h(t.body, rng))
-            replay.append(wrap_applied_h(probes[rng.randrange(len(probes))], rng))
-    for t in corpus:  # paired_t_steps_preserve_image
-        if spine(t)[1].__class__ is Abs:
-            replay.append(wrap_applied_h(t, rng, protect_head=True))
+    for k in range(8):
+        rng = random.Random(f"7 extract_pair_congruence {k}")
+        for t in corpus[cuts[k] : cuts[k + 1]]:
+            if isinstance(t, Abs):
+                replay.append(wrap_applied_h(t.body, rng))
+                replay.append(wrap_applied_h(probes[rng.randrange(len(probes))], rng))
+    for k in range(8):
+        rng = random.Random(f"7 paired_t_steps_preserve_image {k}")
+        for t in corpus[cuts[k] : cuts[k + 1]]:
+            if spine(t)[1].__class__ is Abs:
+                replay.append(wrap_applied_h(t, rng, protect_head=True))
     assert recorded == replay
+
+
+def test_a_check_draws_the_same_whichever_groups_run(monkeypatch):
+    # the extraction group's pair congruence check draws too, and does
+    # not move the draws of paired_t_steps_preserve_image
+    recorded = _recording_wraps(monkeypatch)
+    corpus = _mixed_corpus()
+    lemma_suite(corpus, groups=["machines"])
+    alone = list(recorded)
+    assert alone
+    recorded.clear()
+    lemma_suite(corpus)
+    assert recorded[-len(alone) :] == alone
 
 
 def _no_child_left():

@@ -4,7 +4,6 @@ import random
 import re
 import sys
 import time
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +17,6 @@ from lambdah.syntax import (
     UnboundVariable,
     format_term,
     parse_term,
-    source_lines,
 )
 from lambdah.terms import OMEGA, Abs, App, H, Tower, Var
 from oracles import REFERENCE_PIECE, REFERENCE_TOKEN, gen_weights
@@ -251,17 +249,6 @@ def test_a_run_that_mixes_spellings_builds_one_tower():
     openers = "H (H(H (\nH (# a comment ( H (\nH  (H\n("
     closers = "))\n) # a comment )\n)) )"
     assert parse_term(openers + "x" + closers)[0] == Tower(6, Var(0))
-
-
-def test_source_lines_drop_comments_and_blanks_lazily():
-    def lines():
-        yield "x  # a comment\n"
-        yield "   \n"
-        yield "# only a comment\n"
-        yield " y z \n"
-        raise AssertionError("read past the line asked for")
-
-    assert list(islice(source_lines(lines()), 2)) == ["x", "y z"]
 
 
 # ---------- printing ----------
