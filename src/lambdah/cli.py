@@ -297,3 +297,7 @@ def entry() -> None:
         # shutdown flush does not complain a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     raise SystemExit(status)
+
+
+if __name__ == "__main__":
+    entry()

@@ -8,9 +8,10 @@ unbounded eta-expansion reading).  Concretely,
   * ``lockstep`` runs the IT and JT machines side by side, pausing after
     each t-step, and compares the extraction images of the two states;
   * ``theorem_check`` compares plain head reduction of U[I/H] against
-    U[J/H], together with the two machine verdicts on U itself;
-  * ``lemma_suite`` evaluates every step-level invariant over a corpus
-    and reports counterexamples.
+    U[J/H];
+  * ``lemma_suite`` evaluates every step-level invariant over a corpus,
+    the bridges from the IT and JT machines on U to those two sides
+    among them, and reports counterexamples.
 
 A run that exhausts its fuel or outgrows the state budget is reported
 as "unknown", never as a verdict of unsolvability.  Even so, an
@@ -24,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import takewhile
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
@@ -183,31 +184,14 @@ class AgreementRow:
     context: Term
     verdict_i: MachineOutcome  # head reduction of context[I/H]
     verdict_j: MachineOutcome  # head reduction of context[J/H]
-    verdict_it: MachineOutcome  # IT machine on the context itself
-    verdict_jt: MachineOutcome  # JT machine on the context itself
-    agree: bool
+
+    @property
+    def agree(self) -> bool:
+        return isinstance(self.verdict_i, Hnf) == isinstance(self.verdict_j, Hnf)
 
     @property
     def definite(self) -> bool:
         return isinstance(self.verdict_i, Hnf) and isinstance(self.verdict_j, Hnf)
-
-    @property
-    def bridge_i_ok(self) -> bool:
-        return _bridges(self.verdict_it, self.verdict_i)
-
-    @property
-    def bridge_j_ok(self) -> bool:
-        return _bridges(self.verdict_jt, self.verdict_j)
-
-
-def _bridges(machine: MachineOutcome, substituted: MachineOutcome) -> bool:
-    """A machine verdict bridges to its substitution verdict when both
-    reach a head normal form or neither does.  A machine side that
-    outgrew the state budget is unknown: it neither confirms nor refutes
-    the other side."""
-    return isinstance(machine, Overflow) or (
-        isinstance(machine, Hnf) == isinstance(substituted, Hnf)
-    )
 
 
 # Head reduction of U[J/H] simulates each J-step of the machine by a
@@ -222,24 +206,22 @@ _J_FUEL_RATIO = 20
 
 
 def theorem_check(u: Term, fuel: int) -> AgreementRow:
-    """All four verdicts for one context.
+    """Head reduction of U[I/H] and of U[J/H] for one context.
 
     The U[J/H] side receives ``_J_FUEL_RATIO`` times the fuel.
-    ``agree`` compares the two substitution verdicts: it holds when both
-    sides reach a head normal form or both run out of fuel.  A side that
-    runs out of fuel while the other reaches one is therefore reported
-    as a disagreement, although running out of fuel alone says nothing
-    about solvability.  Both-unknown rows are tallied separately in
-    reports.  The two machine sides take ``fuel`` t-steps, their bursts
-    bounded by the proof in ``machines.run``; a side that outgrows the
-    state budget counts as unknown.
+    ``agree`` compares the two verdicts: it holds when both sides reach
+    a head normal form or both run out of fuel.  A side that runs out of
+    fuel while the other reaches one is therefore reported as a
+    disagreement, although running out of fuel alone says nothing about
+    solvability.  Both-unknown rows are tallied separately in reports.
+    The IT and JT machines on U itself, the proof's device, are run by
+    the ``context_agreement`` check of ``lemma_suite``.
     """
-    verdict_i = run(subst_const_h(u, I), Strategy.T_HEAD, fuel)
-    verdict_j = run(subst_const_h(u, J), Strategy.T_HEAD, fuel * _J_FUEL_RATIO)
-    verdict_it = run(u, Strategy.IT, fuel)
-    verdict_jt = run(u, Strategy.JT, fuel)
-    agree = isinstance(verdict_i, Hnf) == isinstance(verdict_j, Hnf)
-    return AgreementRow(u, verdict_i, verdict_j, verdict_it, verdict_jt, agree)
+    return AgreementRow(
+        u,
+        run(subst_const_h(u, I), Strategy.T_HEAD, fuel),
+        run(subst_const_h(u, J), Strategy.T_HEAD, fuel * _J_FUEL_RATIO),
+    )
 
 
 def verdict_word(outcome: MachineOutcome) -> str:
@@ -507,10 +489,14 @@ def _make_application_solvability(fuel: int) -> Callable:
     return check
 
 
-def _make_determinism(fuel: int) -> Callable:
+def _make_trace_agreement(fuel: int) -> Callable:
+    # an untraced run takes whole towers, J's unfoldings and the cycle
+    # jump in one contraction each, a traced one step by step; both
+    # must end alike, and running twice shows state leaked between calls
     def check(t: Term):
         for strategy in (Strategy.IT, Strategy.JT):
-            if run(t, strategy, fuel) != run(t, strategy, fuel):
+            traced = run(t, strategy, fuel, keep_trace=True)
+            if replace(traced, trace=None) != run(t, strategy, fuel):
                 return f"{format_term(t)} under {strategy.value}"
         return None
 
@@ -540,10 +526,15 @@ def _make_context_agreement(fuel: int) -> Callable:
         row = theorem_check(t, fuel)
         if not row.agree:
             return f"{format_term(t)}: substitution verdicts disagree"
-        if not row.bridge_i_ok:
-            return f"{format_term(t)}: IT machine disagrees with I-substitution"
-        if not row.bridge_j_ok:
-            return f"{format_term(t)}: JT machine disagrees with J-substitution"
+        # The IT and JT machines on t itself bridge to the substituted
+        # sides, which agree: each reaches a head normal form exactly when
+        # they do.  A machine that outgrew the state budget is unknown, so
+        # it neither confirms nor refutes its side.
+        for strategy, letter in ((Strategy.IT, "I"), (Strategy.JT, "J")):
+            machine = run(t, strategy, fuel)
+            if isinstance(machine, Overflow) or isinstance(machine, Hnf) == row.definite:
+                continue
+            return f"{format_term(t)}: {letter}T machine disagrees with {letter}-substitution"
         return None
 
     return check
@@ -719,7 +710,7 @@ def lemma_suite(
         ("pure_j_terminates", "machines", _pure_j_terminates),
         ("paired_t_steps_preserve_image", "machines", _make_paired_t_step),
         ("application_solvability", "machines", _make_application_solvability(fuel)),
-        ("machine_determinism", "machines", _make_determinism(fuel)),
+        ("traced_runs_match_untraced", "machines", _make_trace_agreement(fuel)),
         ("lockstep_images_agree", "equivalence", _make_lockstep(max_t)),
         ("context_agreement", "equivalence", _make_context_agreement(fuel)),
         ("lifted_j_traces_replay", "equivalence", _lift_replays),

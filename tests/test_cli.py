@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import lambdah
 from lambdah.cli import entry, main
 from lambdah.equivalence import BothHnf, BothRunning, Diverged, EMismatch, LockstepReport
 from lambdah.syntax import format_term, parse_term
@@ -374,6 +378,29 @@ def test_entry_exits_with_the_status_of_main(capsys, monkeypatch):
         entry()
     assert exc.value.code == 0
     assert lines(capsys) == ["x y"]
+
+
+def test_the_module_form_runs_the_command(capsys):
+    # python -m lambdah.cli is the console script: the same output and
+    # the same exit status
+    env = dict(os.environ)
+    src = str(Path(lambdah.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["check", "--max-size", "1", "--count", "0"]
+
+    def module(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "lambdah.cli", *args],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+
+    assert main(argv) == 0
+    done = module(*argv)
+    assert done.returncode == 0
+    assert done.stdout == capsys.readouterr().out
+    assert module("check", "--count", "-5").returncode == 2
 
 
 def test_entry_runs_a_context_100000_deep_on_the_main_thread(

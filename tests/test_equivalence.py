@@ -35,7 +35,7 @@ from lambdah.machines import (
     j_step,
     run,
 )
-from lambdah.syntax import parse_term
+from lambdah.syntax import format_term, parse_term
 from lambdah.terms import I, OMEGA, Abs, App, H, Tower, Var, apply_args, size, spine
 from oracles import state_budget
 
@@ -167,13 +167,22 @@ def test_lockstep_flags_a_checkpoint_mismatch_if_extraction_is_broken(monkeypatc
 # ---------- theorem rows ----------
 
 
+def _context_agreement(terms, fuel):
+    report = lemma_suite(terms, fuel=fuel, groups=["equivalence"])
+    return next(r for r in report.results if r.name == "context_agreement")
+
+
 def test_theorem_row_for_an_applied_h_context():
-    row = theorem_check(term("H w"), 50)
+    u = term("H w")
+    row = theorem_check(u, 50)
     assert row.agree and row.definite
-    assert row.bridge_i_ok and row.bridge_j_ok
     assert row.verdict_i.t_steps == 1  # I w -> w
     assert row.verdict_j.t_steps == 4  # J w unfolds, wraps, and lands on w (H ...)
-    assert isinstance(row.verdict_it, Hnf) and isinstance(row.verdict_jt, Hnf)
+    # the machines on the context itself bridge to the substituted sides
+    assert isinstance(run(u, Strategy.IT, 50), Hnf)
+    assert isinstance(run(u, Strategy.JT, 50), Hnf)
+    result = _context_agreement([u], 50)
+    assert result.checked == 1 and result.ok
 
 
 def test_theorem_row_for_the_bare_constant():
@@ -181,7 +190,8 @@ def test_theorem_row_for_the_bare_constant():
     assert row.agree and row.definite
     assert row.verdict_i.t_steps == 0  # I is already in head normal form
     assert row.verdict_j.t_steps == 3  # J needs three unfolding steps
-    assert row.verdict_it == Hnf(H, 0, 0, None)
+    assert run(H, Strategy.IT, 50) == Hnf(H, 0, 0, None)
+    assert _context_agreement([H], 50).ok
 
 
 def test_theorem_row_with_both_sides_unknown_agrees_vacuously():
@@ -198,13 +208,15 @@ def test_theorem_check_gives_the_j_side_extra_fuel():
 
 
 def test_theorem_check_counts_an_overflowed_machine_side_as_unknown():
+    u = term("H (\\x.x x) (\\x.x x)")
     with state_budget(512):
-        row = theorem_check(term("H (\\x.x x) (\\x.x x)"), 50)
-    assert isinstance(row.verdict_jt, Overflow)
+        row = theorem_check(u, 50)
+        assert isinstance(run(u, Strategy.JT, 50), Overflow)
+        result = _context_agreement([u], 50)
     assert isinstance(row.verdict_j, FuelExhausted)
     assert row.agree
-    assert row.bridge_j_ok
     assert not row.definite
+    assert result.checked == 1 and result.ok
 
 
 def test_an_overflowed_machine_side_does_not_fail_its_bridge():
@@ -213,15 +225,35 @@ def test_an_overflowed_machine_side_does_not_fail_its_bridge():
     # a head normal form, so the machine sides are unknown, not wrong
     u = App(App(H, Var(0)), Abs(apply_args(Var(0), [Var(0)] * 2100)))
     assert size(u) == 4206
+    assert isinstance(run(u, Strategy.IT, 10), Overflow)
+    assert isinstance(run(u, Strategy.JT, 10), Overflow)
     row = theorem_check(u, 10)
-    assert isinstance(row.verdict_it, Overflow)
-    assert isinstance(row.verdict_jt, Overflow)
     assert row.definite and row.agree
-    assert row.bridge_i_ok and row.bridge_j_ok
-    report = lemma_suite([u], groups=["equivalence"])
-    by_name = {r.name: r for r in report.results}
-    assert by_name["context_agreement"].checked == 1
-    assert by_name["context_agreement"].ok
+    result = _context_agreement([u], 10)
+    assert result.checked == 1 and result.ok
+
+
+@pytest.mark.parametrize(
+    "stalled, message",
+    [
+        (Strategy.IT, "IT machine disagrees with I-substitution"),
+        (Strategy.JT, "JT machine disagrees with J-substitution"),
+    ],
+)
+def test_context_agreement_reports_a_machine_that_disagrees(monkeypatch, stalled, message):
+    # both substitutions of H w reach a head normal form; one machine
+    # on H w itself is made to run out of fuel instead
+    def run_stalling(t, strategy, fuel, **kwargs):
+        if strategy is stalled:
+            return FuelExhausted(t, fuel)
+        return run(t, strategy, fuel, **kwargs)
+
+    monkeypatch.setattr("lambdah.equivalence.run", run_stalling)
+    u = term("H w")
+    assert theorem_check(u, 50).definite
+    result = _context_agreement([u], 50)
+    assert result.failed == 1
+    assert result.failures == [f"{format_term(u)}: {message}"]
 
 
 # ---------- json reports ----------
@@ -540,6 +572,39 @@ def test_only_the_lift_check_sees_a_wrap_onto_the_last_argument(monkeypatch):
     report = lemma_suite(enumerate_terms(6, free_vars=1), fuel=100, max_t=30)
     assert {r.name: r.failed for r in report.results if r.failed} == {
         "lifted_j_traces_replay": 16
+    }
+
+
+def _wrap_one_h(head, n, wrap, stack):
+    # a tower contraction that drops n levels but wraps only one H
+    if wrap:
+        stack[-1] = Tower(1, stack[-1])
+    return Tower(head.height - n, head.base)
+
+
+def _take_one_level(head, n, wrap, stack):
+    # a contraction that takes one level while run counts n aux steps
+    if wrap:
+        stack[-1] = Tower(1, stack[-1])
+    return Tower(head.height - 1, head.base)
+
+
+@pytest.mark.parametrize(
+    "lower, max_size, failed",
+    [(_wrap_one_h, 7, 2), (_take_one_level, 5, 2)],
+    ids=["one-h-per-tower", "one-level-per-contraction"],
+)
+def test_only_the_trace_check_sees_a_whole_tower_contraction_go_wrong(
+    monkeypatch, lower, max_size, failed
+):
+    # a traced run takes one level per contraction, where both mutants
+    # act as the real one; extraction erases the lost H's, and the other
+    # checks trace their runs or read untraced ones only by their images,
+    # t-steps and verdicts
+    monkeypatch.setattr("lambdah.machines._lower", lower)
+    report = lemma_suite(enumerate_terms(max_size), fuel=100, max_t=30)
+    assert {r.name: r.failed for r in report.results if r.failed} == {
+        "traced_runs_match_untraced": failed
     }
 
 
