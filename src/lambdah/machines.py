@@ -101,7 +101,7 @@ consults the budget.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterator, Sequence
 
@@ -144,6 +144,35 @@ def trace_json(trace: Sequence[TraceEntry], free_vars: Sequence[str] = ()) -> It
                 "t_steps": entry.t_steps,
             }
         )
+
+
+def _builder(cls: type, *names: str):
+    """A constructor of the frozen slotted dataclass ``cls`` that takes
+    its four fields, ``names`` in that order, by position.
+
+    It sets each slot through its descriptor, where a frozen
+    ``__init__`` goes through ``object.__setattr__``, at about half the
+    cost.  The record is the one ``cls(...)`` builds: the same class,
+    equality, hash and repr, frozen, and ``dataclasses.replace`` works
+    on it.  ``run`` builds an outcome per call and an entry per traced
+    step, so the check suite builds over a hundred thousand of them.
+    """
+    assert sorted(names) == sorted(f.name for f in fields(cls))
+    set_a, set_b, set_c, set_d = (getattr(cls, name).__set__ for name in names)
+    new = object.__new__
+
+    def build(a, b, c, d):
+        record = new(cls)
+        set_a(record, a)
+        set_b(record, b)
+        set_c(record, c)
+        set_d(record, d)
+        return record
+
+    return build
+
+
+_trace_entry = _builder(TraceEntry, "kind", "before", "after", "t_steps")
 
 
 # ---------- step rules ----------
@@ -257,6 +286,11 @@ class Overflow:
 
 MachineOutcome = Hnf | FuelExhausted | Overflow
 
+_OUTCOME_FIELDS = ("t_steps", "aux_steps", "trace")
+_hnf = _builder(Hnf, "result", *_OUTCOME_FIELDS)
+_fuel_exhausted = _builder(FuelExhausted, "last", *_OUTCOME_FIELDS)
+_overflow = _builder(Overflow, "last", *_OUTCOME_FIELDS)
+
 # The state budget for strategies that take auxiliary bursts, counted
 # in expanded nodes.  No walk over a state recurses, so the budget
 # guards no stack; it bounds the work of a burst, at most 4096**2 // 4
@@ -284,7 +318,8 @@ def run(
     burst that outruns its proven bound raises AuxCapExceeded.
     """
     trace: list[TraceEntry] | None = [] if keep_trace else None
-    aux = strategy.value[:-1] or None
+    # ``_value_`` is the plain attribute behind the ``value`` property
+    aux = strategy._value_[:-1] or None
     # the state as a Term while one is at hand: the input, then the last
     # traced state; None once an untraced step has moved past it
     state: Term | None = t
@@ -307,7 +342,7 @@ def run(
                 # size of the state, without reading it back
                 state_size = binders + size(head) + sum(size(a) + 1 for a in stack)
                 if state_size > MAX_STATE:
-                    stop = Overflow
+                    stop = _overflow
                     break
                 # A burst from a state with h H-nodes and a applications
                 # takes at most h * a steps.  No aux step adds an App: an
@@ -377,7 +412,7 @@ def run(
                     snap_t, snap_aux = t_steps, aux_steps
                     next_snap = 2 * t_steps + 1
             if t_steps >= fuel:
-                stop = FuelExhausted
+                stop = _fuel_exhausted
                 break
             kind = StepKind.T
             aux_since_t = 0
@@ -423,14 +458,14 @@ def run(
                     body = body.fun
                 new = substitute(body, value)
         else:
-            stop = Hnf
+            stop = _hnf
             break
         binders, head, stack = spine(new, binders, stack)
         if trace is None:
             state = None
         else:
             after = _readback(binders, head, stack)
-            trace.append(TraceEntry(kind, state, after, t_steps))
+            trace.append(_trace_entry(kind, state, after, t_steps))
             state = after
     if state is None:
         state = _readback(binders, head, stack)
@@ -439,6 +474,5 @@ def run(
             f"{aux_since_t} consecutive {aux}-steps "
             f"(cap {burst_cap}) from {format_term(state)}"
         )
-    frozen = tuple(trace) if trace is not None else None
-    return stop(state, t_steps, trace=frozen, aux_steps=aux_steps)
+    return stop(state, t_steps, aux_steps, tuple(trace) if trace is not None else None)
 

@@ -228,6 +228,17 @@ def test_check_prints_the_same_table_on_one_cpu_and_on_three(capsys, monkeypatch
     assert outputs[0].count("counterexample:") > 4
 
 
+def test_check_prints_the_committed_check_suite_table(capsys):
+    # the benchmark's check-suite command; the benchmark's reference
+    # checks only that each row's counts sum to the term count and that
+    # nothing fails, so this pins each row's checked/skipped split
+    argv = ["check", "--max-size", "8", "--count", "150", "--random-size", "12",
+            "--seed", "0"]
+    assert main(argv) == 0
+    table = Path(__file__).parent / "data" / "check-suite.txt"
+    assert capsys.readouterr().out == table.read_text(encoding="utf-8")
+
+
 # ---------- corpus ----------
 
 

@@ -1,5 +1,6 @@
 """Equivalence tests: lockstep runs, theorem rows, the lifting lemma, suite."""
 
+import copy
 import dataclasses
 import json
 import os
@@ -554,6 +555,74 @@ def test_the_extraction_checks_fail_on_a_mutant(target, mutant, failed, monkeypa
     # every check fails on some mutant, so none of them passes vacuously
     monkeypatch.setattr(f"lambdah.{target}", mutant)
     report = lemma_suite(enumerate_terms(6, free_vars=1), groups=["extraction"])
+    assert tuple(r.failed for r in report.results) == failed
+
+
+@pytest.mark.parametrize(
+    "copy_images, substitutions",
+    [(False, 1456), (True, 3346)],
+    ids=["images-by-identity", "images-as-equal-copies"],
+)
+def test_the_substitution_check_drops_only_probes_that_compare_a_call_with_itself(
+    copy_images, substitutions, monkeypatch
+):
+    # Where a body and a probe are their own images, both sides of the
+    # probe are extract(substitute(body, value)).  Five of the six probes
+    # are their own images, and so are most small bodies, so the check
+    # skips most probes; the skip is taken by identity, so images that
+    # are only equal copies bring every probe back.  The row is the same.
+    # The count includes extract_pair_congruence's two calls per body.
+    _on_cpus(monkeypatch, 1)  # so that every call is made in this process
+    calls = []
+    real_substitute = lambdah.equivalence.substitute
+
+    def counting(body, value):
+        calls.append(body)
+        return real_substitute(body, value)
+
+    monkeypatch.setattr("lambdah.equivalence.substitute", counting)
+    if copy_images:
+        monkeypatch.setattr(
+            "lambdah.equivalence.extract", lambda t: copy.deepcopy(extract(t))
+        )
+    report = lemma_suite(enumerate_terms(6, free_vars=1), groups=["extraction"])
+    row = next(r for r in report.results if r.name == "extract_commutes_with_substitution")
+    assert (row.checked, row.skipped, row.failed) == (239, 211, 0)
+    assert len(calls) == substitutions
+
+
+def _drop_one_level_more(head, n, wrap, stack):
+    # an i-step or j_drop that takes one level more than it counts, where
+    # the tower has one to spare
+    if wrap:
+        stack[-1] = Tower(n, stack[-1])
+        return Tower(head.height - n, head.base)
+    return Tower(max(head.height - n - 1, 0), head.base)
+
+
+def _wrap_the_base(head, n, wrap, stack):
+    # a j_wrap that puts its H's around the tower's base, not around the
+    # next argument
+    if wrap:
+        stack[-1] = Tower(n, head.base)
+    return Tower(head.height - n, head.base)
+
+
+@pytest.mark.parametrize(
+    "lower, failed",
+    [
+        pytest.param(_drop_one_level_more, (8, 0, 8, 0, 0, 0, 16), id="one-level-more"),
+        pytest.param(_wrap_the_base, (0, 20, 0, 20, 0, 0, 0), id="wrap-the-base"),
+    ],
+)
+def test_the_machine_checks_fail_on_a_mutant(lower, failed, monkeypatch):
+    # failures of each machines check, in registry order: i-step, j-step,
+    # pure I, pure J, paired t-steps, application solvability, traced
+    # runs.  Extraction erases a lost H, so only the i-step's size test
+    # sees the extra level; a wrap that loses the next argument moves
+    # the image, which the j-step check sees
+    monkeypatch.setattr("lambdah.machines._lower", lower)
+    report = lemma_suite(enumerate_terms(6, free_vars=1), groups=["machines"])
     assert tuple(r.failed for r in report.results) == failed
 
 

@@ -1,5 +1,6 @@
 """Machine tests: step rules, strategies, fuel and burst-bound accounting."""
 
+import dataclasses
 import json
 import random
 from itertools import islice, product
@@ -561,6 +562,37 @@ def test_an_outcome_without_a_step_holds_the_input_itself():
             with state_budget(1):
                 out = run(t, strategy, 0)
             assert (out.result if isinstance(out, Hnf) else out.last) is t
+
+
+@pytest.mark.parametrize("keep_trace", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize(
+    "text, strategy, fuel, budget, cls",
+    [
+        ("H (\\x.x) y", Strategy.IT, 10, MAX_STATE, Hnf),
+        ("(\\x.x x) (\\x.x x)", Strategy.T_HEAD, 3, MAX_STATE, FuelExhausted),
+        (DOUBLER, Strategy.JT, 100, 64, Overflow),
+    ],
+    ids=["hnf", "fuel-exhausted", "overflow"],
+)
+def test_an_outcome_built_by_run_keeps_its_dataclass_contract(
+    text, strategy, fuel, budget, cls, keep_trace
+):
+    # run sets the slots of its records directly; each must still be the
+    # record its constructor builds, and as frozen
+    with state_budget(budget):
+        out = run(term(text), strategy, fuel, keep_trace=keep_trace)
+        untraced = run(term(text), strategy, fuel)
+    assert out.__class__ is cls
+    assert (out.trace is not None) is keep_trace
+    for record in (out, *(out.trace or ())):
+        fields = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+        built = record.__class__(**fields)
+        assert record == built and built == record
+        assert hash(record) == hash(built)
+        assert repr(record) == repr(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.t_steps = 0
+    assert dataclasses.replace(out, trace=None) == untraced
 
 
 def test_single_steps_match_the_reference_driver():
