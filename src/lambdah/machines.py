@@ -60,8 +60,12 @@ unfolding as one contraction and counts its steps, when the head and
 its first two arguments are the very objects of ``terms.J`` (as every
 ``J`` from ``terms``, ``parse_term`` and ``subst_const_h`` is) and the
 fuel left covers the whole unfolding; otherwise it takes the steps one
-at a time.  Outcomes, step counts and final states are equal either
-way, and a J written out by hand reduces step by step to the same.
+at a time.  A chain ``J (J .. (J M))``, the J reading of an H-tower,
+goes in the same contraction while the fuel lasts: ``J^k M N`` reaches
+``M (J^k N)`` in 5k t-steps, with no head settled in between, so the
+J side of a context costs per chain, not per J.  Outcomes, step counts
+and final states are equal either way, and a J written out by hand
+reduces step by step to the same.
 
 ``fuel`` bounds t-steps only.  Running out of fuel means "unknown", and
 FuelExhausted says nothing about solvability.  The machines are
@@ -328,9 +332,9 @@ def run(
     # Brent's cycle finding over the states before t-steps: one snapshot
     # of the binders, the head, a copy of the stack (the loop changes the
     # stack in place) and the counts, taken at the first such state at or
-    # past t-step 2**k - 1 (an unfolding of J can step past it).  A jump
-    # needs two t-steps of fuel past the snapshot, and a trace lists
-    # every step, so neither kind of run compares.
+    # past t-step 2**k - 1 (an unfolding of J, or a chain of them, can
+    # step past it).  A jump needs two t-steps of fuel past the snapshot,
+    # and a trace lists every step, so neither kind of run compares.
     seeking = trace is None and fuel > 1
     snap_stack: list[Term] | None = None
     snap_binders = snap_t = snap_aux = next_snap = 0
@@ -398,10 +402,11 @@ def run(
                     # add their counts, and the rest, fewer than a period,
                     # are taken for real up to the fuel boundary.
                     # All of this is about the step-by-step run.  An
-                    # unfolding of J (below) ends at the state, with the
-                    # counts, that its n single t-steps reach, so the
-                    # snapshot and this state are both states of that run,
-                    # and after the jump the loop goes on following it.
+                    # unfolding of J or a chain of them (below) ends at
+                    # the state, with the counts, that its single t-steps
+                    # reach, so the snapshot and this state are both
+                    # states of that run, and after the jump the loop goes
+                    # on following it.
                     period = t_steps - snap_t
                     laps = (fuel - t_steps) // period
                     t_steps += laps * period
@@ -429,8 +434,9 @@ def run(
             # \y z. y (Y' G z); no argument waits for these abstractions,
             # so their binders join the state's.  Y' G equals J, so an
             # untraced run with fuel for all n steps takes them as one
-            # contraction; short of fuel it takes them one at a time and
-            # stops where the step-by-step run stops.
+            # contraction, and with two arguments goes on down a chain
+            # of J's at the head; short of fuel it takes them one at a
+            # time and stops where the step-by-step run stops.
             if (
                 head is y_half
                 and trace is None
@@ -444,6 +450,22 @@ def run(
                 if n == 5:
                     new = stack.pop()
                     stack[-1] = App(J, stack[-1])
+                    # A chain J (J .. (J M')) N unfolds J by J in the same
+                    # contraction: J^k M' N -> M' (J^k N) in 5k t-steps.
+                    # - When the new head M is J M', settling it gives
+                    #   J M' (J N) ..: J N sits on top of the stack, so the
+                    #   settled J has two or more arguments and its
+                    #   unfolding is again the 5-step one above.
+                    # - ``fuel - t_steps >= 5`` is the test the next trip
+                    #   round the loop would make before that unfolding.
+                    # - The loop would also pass that state to the Brent
+                    #   check, and skipping it is safe: the snapshots still
+                    #   land on states of the step-by-step run, only on
+                    #   fewer of them, and a jump needs no more than that.
+                    while new.__class__ is App and new.fun is J and fuel - t_steps >= 5:
+                        t_steps += 5
+                        new = new.arg
+                        stack[-1] = App(J, stack[-1])
                 else:
                     new = shift(stack.pop(), 1) if n == 4 else Var(1)
                     stack.append(App(J, Var(0)))

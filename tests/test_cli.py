@@ -242,6 +242,19 @@ def test_check_prints_the_committed_check_suite_table(capsys):
 # ---------- corpus ----------
 
 
+@pytest.mark.parametrize(
+    "options, report",
+    [(["--fuel", "100", "--json"], "contexts-fuel100.json"), ([], "contexts-report.txt")],
+    ids=["fuel-100-json", "default-fuel"],
+)
+def test_corpus_prints_the_committed_curated_report(capsys, options, report):
+    # the north-star command: every row's verdicts and step counts, so a
+    # miscounted J unfolding shows even where the tally stays the same
+    data = Path(__file__).parent / "data"
+    assert main(["corpus", str(data / "contexts.txt"), *options]) == 0
+    assert capsys.readouterr().out == (data / report).read_text(encoding="utf-8")
+
+
 def test_corpus_report(capsys, tmp_path):
     path = tmp_path / "contexts.txt"
     path.write_text("H x\nH Omega  # never reaches hnf on either side\n")

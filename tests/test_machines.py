@@ -473,6 +473,11 @@ def test_jt_takes_the_duplicators_doubling_tower_in_one_contraction():
     # where taking one level at a time would take 2^60 steps
     u = term(DOUBLER)
     with state_budget(2**70):
+        # at fuel 16 a contraction that takes fewer levels than it counts
+        # shows at once, where at fuel 60 it would take 2^60 levels
+        out = run(u, Strategy.JT, 16)
+        assert (out.t_steps, out.aux_steps) == (16, 2**16)
+        assert size(out.last) == 2**17 + 9
         out = run(u, Strategy.JT, 60)
     assert isinstance(out, FuelExhausted)
     assert (out.t_steps, out.aux_steps) == (60, 2**60)
@@ -686,10 +691,46 @@ def test_the_duplicators_j_side_unfolds_without_substituting(monkeypatch):
     assert isinstance(out, FuelExhausted) and out.t_steps == 2000
 
 
+@pytest.mark.parametrize("k", range(1, 13))
+def test_a_chain_of_js_matches_the_reference_driver(k):
+    # J^k x N .. unfolds to x (J^k N) .. in 5k t-steps, which an untraced
+    # run takes as one contraction; at every fuel short of the chain's
+    # end, and past it, it stops where the step-by-step run stops.  A
+    # traced run is compared as a record, field by field: at k = 12 the
+    # reprs of the two drivers' traces would spell about 10**9 characters
+    for base, n in product((Var(3), term("\\v.v")), range(4)):
+        t = subst_const_h(apply_args(h_tower(k, base), [Var(i) for i in range(n)]), J)
+        for strategy, fuel in product(Strategy, (*range(5 * k + 7), 300)):
+            args = (t, strategy, fuel)
+            where = (format_term(t), strategy, fuel)
+            assert outcome_text(run, *args) == outcome_text(reference_run, *args), where
+            traced = run(*args, keep_trace=True)
+            assert traced == reference_run(*args, keep_trace=True), where
+
+
+@pytest.mark.parametrize("fuel", [2000, 200_000])
+def test_the_duplicators_j_side_settles_a_head_per_chain_not_per_j(monkeypatch, fuel):
+    # one J per contraction settles the head after every J of the chains
+    # this run builds: 409 spine calls at fuel 2,000 and 40,017 at
+    # 200,000; a chain per contraction makes 21 and 38
+    t = subst_const_h(term(DOUBLER), J)
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return spine(*args)
+
+    monkeypatch.setattr(machines, "spine", counted)
+    out = run(t, Strategy.T_HEAD, fuel)
+    assert isinstance(out, FuelExhausted) and out.t_steps == fuel
+    assert calls <= 64
+
+
 def test_a_j_spelled_out_reduces_like_j():
     spelled = term("(\\z f.f (z z f)) (\\z f.f (z z f)) (\\x y z.y (x z))")
     assert spelled == J and spelled is not J
-    for text in ("H x y", "H x", "H", DOUBLER):
+    for text in ("H x y", "H x", "H", "H (H (H x)) y z", DOUBLER):
         u = term(text)
         for strategy, fuel in product(Strategy, (3, 4, 5, 300)):
             assert run(subst_const_h(u, spelled), strategy, fuel) == run(
