@@ -8,11 +8,8 @@ are operationally interchangeable.
 
 from .equivalence import (
     AgreementRow,
-    BothHnf,
-    BothRunning,
-    Diverged,
-    EMismatch,
     LockstepReport,
+    LockstepVerdict,
     SuiteReport,
     lemma_suite,
     lockstep,
@@ -69,13 +66,13 @@ from .terms import (
 )
 
 __all__ = [
-    "Abs", "AgreementRow", "App", "AuxCapExceeded", "BUILTINS", "BothHnf",
-    "BothRunning", "ConstH", "Diverged", "EMismatch", "FuelExhausted", "G",
-    "H", "Hnf", "I", "J", "LockstepReport", "MachineOutcome", "OMEGA",
-    "Overflow", "ParseError", "StepError", "StepKind", "Strategy",
-    "SuiteReport", "Term", "Tower", "TraceEntry", "UnboundVariable", "Var",
-    "Y", "apply_args", "enumerate_terms", "extract", "format_term", "i_step",
-    "j_step", "lemma_suite", "lockstep", "parse_term", "read_corpus", "run",
-    "shift", "size", "spine", "subst_const_h", "substitute", "t_step",
-    "term_stream", "theorem_check", "wrap_applied_h",
+    "Abs", "AgreementRow", "App", "AuxCapExceeded", "BUILTINS", "ConstH",
+    "FuelExhausted", "G", "H", "Hnf", "I", "J", "LockstepReport",
+    "LockstepVerdict", "MachineOutcome", "OMEGA", "Overflow", "ParseError",
+    "StepError", "StepKind", "Strategy", "SuiteReport", "Term", "Tower",
+    "TraceEntry", "UnboundVariable", "Var", "Y", "apply_args",
+    "enumerate_terms", "extract", "format_term", "i_step", "j_step",
+    "lemma_suite", "lockstep", "parse_term", "read_corpus", "run", "shift",
+    "size", "spine", "subst_const_h", "substitute", "t_step", "term_stream",
+    "theorem_check", "wrap_applied_h",
 ]

@@ -23,10 +23,7 @@ import sys
 from itertools import islice
 
 from .equivalence import (
-    BothHnf,
-    BothRunning,
-    Diverged,
-    EMismatch,
+    LockstepVerdict,
     agreement_row_json,
     agreement_tally,
     corpus_lines,
@@ -126,21 +123,18 @@ def _cmd_lockstep(args) -> int:
                 f"t-step {cp.t_step_index}: {format_term(cp.image_i, names)} "
                 f"{mark} {format_term(cp.image_j, names)}"
             )
-    match report.verdict:
-        case BothHnf():
-            key, word, code = "both-hnf", "both-hnf", 0
-        case BothRunning():
-            key, word, code = "both-running", "both-running", 0
-        case Diverged(step):
-            key, code = "diverged", 1
-            word = f"diverged (one side halted at t-step {step})"
-        case EMismatch(step):
-            key, word, code = "image-mismatch", f"image mismatch at t-step {step}", 1
+    verdict, code = report.verdict, 1
+    if verdict is LockstepVerdict.DIVERGED:
+        word = f"diverged (one side halted at t-step {report.step})"
+    elif verdict is LockstepVerdict.IMAGE_MISMATCH:
+        word = f"image mismatch at t-step {report.step}"
+    else:
+        word, code = verdict.value, 0
     if args.json:
         print(
             json.dumps(
                 {
-                    "verdict": key,
+                    "verdict": verdict.value,
                     "t_steps_I": report.t_steps_i,
                     "t_steps_J": report.t_steps_j,
                 }

@@ -7,6 +7,8 @@ unbounded eta-expansion reading).  Concretely,
 
   * ``lockstep`` runs the IT and JT machines side by side, pausing after
     each t-step, and compares the extraction images of the two states;
+    its report ends in one ``LockstepVerdict``, with the t-step of a
+    one-sided halt or of an image mismatch;
   * ``theorem_check`` compares plain head reduction of U[I/H] against
     U[J/H];
   * ``lemma_suite`` evaluates every step-level invariant over a corpus,
@@ -26,6 +28,7 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
+from enum import Enum
 from itertools import takewhile
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
@@ -64,27 +67,14 @@ from .terms import (
 # ---------- lockstep comparison ----------
 
 
-@dataclass(frozen=True, slots=True)
-class BothHnf:
-    pass
+class LockstepVerdict(Enum):
+    """How a lockstep run ended; each value is the word ``lambdah
+    lockstep --json`` prints."""
 
-
-@dataclass(frozen=True, slots=True)
-class BothRunning:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class Diverged:
-    step: int
-
-
-@dataclass(frozen=True, slots=True)
-class EMismatch:
-    step: int
-
-
-LockstepVerdict = BothHnf | BothRunning | Diverged | EMismatch
+    BOTH_HNF = "both-hnf"
+    BOTH_RUNNING = "both-running"
+    DIVERGED = "diverged"
+    IMAGE_MISMATCH = "image-mismatch"
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,9 +87,11 @@ class Checkpoint:
 
 @dataclass(frozen=True, slots=True)
 class LockstepReport:
-    input: Term
     checkpoints: tuple[Checkpoint, ...]
     verdict: LockstepVerdict
+    # DIVERGED: the t-steps of the side that halted; IMAGE_MISMATCH: the
+    # I side's t-steps at the mismatch; otherwise None
+    step: int | None
     t_steps_i: int
     t_steps_j: int
     aux_steps_i: int
@@ -156,23 +148,24 @@ def lockstep(u: Term, max_t: int) -> LockstepReport:
             image_i, image_j = extract(side_i.state), extract(side_j.state)
             equal = image_i == image_j
             checkpoints.append(Checkpoint(side_i.t_steps, image_i, image_j, equal))
-    verdict: LockstepVerdict
+    if equal and side_i.done and side_j.done:
+        equal = extract(side_i.state) == extract(side_j.state)
     if not equal:
-        verdict = EMismatch(side_i.t_steps)
-    elif side_i.done and side_j.done:
-        same = extract(side_i.state) == extract(side_j.state)
-        verdict = BothHnf() if same else EMismatch(side_i.t_steps)
+        verdict, step = LockstepVerdict.IMAGE_MISMATCH, side_i.t_steps
     elif side_i.done or side_j.done:
         halted, going = (side_i, side_j) if side_i.done else (side_j, side_i)
-        if fits:
+        if fits and not going.done:
             going.advance(max_t - going.t_steps)
-        verdict = BothHnf() if going.done else Diverged(halted.t_steps)
+        if going.done:
+            verdict, step = LockstepVerdict.BOTH_HNF, None
+        else:
+            verdict, step = LockstepVerdict.DIVERGED, halted.t_steps
     else:
-        verdict = BothRunning()
+        verdict, step = LockstepVerdict.BOTH_RUNNING, None
     return LockstepReport(
-        u,
         tuple(checkpoints),
         verdict,
+        step,
         side_i.t_steps,
         side_j.t_steps,
         side_i.aux_steps,
@@ -250,11 +243,7 @@ def agreement_tally(rows: Sequence[AgreementRow]) -> dict[str, int]:
     return {
         "contexts": len(rows),
         "definite": sum(1 for r in rows if r.definite),
-        "both_unknown": sum(
-            1
-            for r in rows
-            if not isinstance(r.verdict_i, Hnf) and not isinstance(r.verdict_j, Hnf)
-        ),
+        "both_unknown": sum(1 for r in rows if r.agree and not r.definite),
         "disagreements": sum(1 for r in rows if not r.agree),
     }
 
@@ -521,16 +510,16 @@ def _make_trace_agreement(fuel: int) -> Callable:
 def _make_lockstep(max_t: int) -> Callable:
     def check(t: Term):
         report = lockstep(t, max_t)
-        match report.verdict:
-            case EMismatch(step):
-                return f"{format_term(t)}: image mismatch at t-step {step}"
-            case Diverged(step):
-                return f"{format_term(t)}: one side halted at t-step {step}"
-            case BothHnf() if report.t_steps_i != report.t_steps_j:
-                return (
-                    f"{format_term(t)}: t-step counts differ "
-                    f"({report.t_steps_i} vs {report.t_steps_j})"
-                )
+        verdict, step = report.verdict, report.step
+        if verdict is LockstepVerdict.IMAGE_MISMATCH:
+            return f"{format_term(t)}: image mismatch at t-step {step}"
+        if verdict is LockstepVerdict.DIVERGED:
+            return f"{format_term(t)}: one side halted at t-step {step}"
+        if verdict is LockstepVerdict.BOTH_HNF and report.t_steps_i != report.t_steps_j:
+            return (
+                f"{format_term(t)}: t-step counts differ "
+                f"({report.t_steps_i} vs {report.t_steps_j})"
+            )
         return None
 
     return check

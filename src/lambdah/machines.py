@@ -150,9 +150,9 @@ def trace_json(trace: Sequence[TraceEntry], free_vars: Sequence[str] = ()) -> It
         )
 
 
-def _builder(cls: type, *names: str):
+def _builder(cls: type):
     """A constructor of the frozen slotted dataclass ``cls`` that takes
-    its four fields, ``names`` in that order, by position.
+    its four fields by position, in the order ``cls`` declares them.
 
     It sets each slot through its descriptor, where a frozen
     ``__init__`` goes through ``object.__setattr__``, at about half the
@@ -161,8 +161,7 @@ def _builder(cls: type, *names: str):
     on it.  ``run`` builds an outcome per call and an entry per traced
     step, so the check suite builds over a hundred thousand of them.
     """
-    assert sorted(names) == sorted(f.name for f in fields(cls))
-    set_a, set_b, set_c, set_d = (getattr(cls, name).__set__ for name in names)
+    set_a, set_b, set_c, set_d = (getattr(cls, f.name).__set__ for f in fields(cls))
     new = object.__new__
 
     def build(a, b, c, d):
@@ -176,7 +175,7 @@ def _builder(cls: type, *names: str):
     return build
 
 
-_trace_entry = _builder(TraceEntry, "kind", "before", "after", "t_steps")
+_trace_entry = _builder(TraceEntry)
 
 
 # ---------- step rules ----------
@@ -273,8 +272,8 @@ class Hnf:
 class FuelExhausted:
     last: Term
     t_steps: int
+    aux_steps: int
     trace: tuple[TraceEntry, ...] | None = None
-    aux_steps: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -284,16 +283,15 @@ class Overflow:
 
     last: Term
     t_steps: int
+    aux_steps: int
     trace: tuple[TraceEntry, ...] | None = None
-    aux_steps: int = 0
 
 
 MachineOutcome = Hnf | FuelExhausted | Overflow
 
-_OUTCOME_FIELDS = ("t_steps", "aux_steps", "trace")
-_hnf = _builder(Hnf, "result", *_OUTCOME_FIELDS)
-_fuel_exhausted = _builder(FuelExhausted, "last", *_OUTCOME_FIELDS)
-_overflow = _builder(Overflow, "last", *_OUTCOME_FIELDS)
+_hnf = _builder(Hnf)
+_fuel_exhausted = _builder(FuelExhausted)
+_overflow = _builder(Overflow)
 
 # The state budget for strategies that take auxiliary bursts, counted
 # in expanded nodes.  No walk over a state recurses, so the budget

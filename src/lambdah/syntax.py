@@ -320,12 +320,14 @@ _TOP, _FUN, _ARG = range(3)
 
 def format_term(t: Term, free_vars: Sequence[str] = ()) -> str:
     """Print a term.  Free index depth + i takes the i-th declared name, or
-    a synthetic ``v{i}`` beyond the declared list.  Binder names are drawn
+    a synthetic ``v{i}`` beyond the declared list, followed by as many
+    v's as keep it from being a declared name.  Binder names are drawn
     from a fixed supply in pre-order, skipping the declared names, so the
     text re-parses to exactly ``t``.
     """
     free = list(free_vars)
-    supply = _binder_names(set(free))
+    declared = set(free)
+    supply = _binder_names(declared)
     env: list[str] = []  # names of the binders in scope, innermost last
     out: list[str] = []
     # Work, next item last: a string to emit, a count of binders whose
@@ -355,7 +357,14 @@ def format_term(t: Term, free_vars: Sequence[str] = ()) -> str:
                 out.append(env[-1 - i])
             else:
                 j = i - len(env)
-                out.append(free[j] if j < len(free) else f"v{j}")
+                if j < len(free):
+                    out.append(free[j])
+                else:
+                    # letters after the digits keep it apart from any other v{k}
+                    name = f"v{j}"
+                    while name in declared:
+                        name += "v"
+                    out.append(name)
         elif cls is Abs:
             params = []
             while t.__class__ is Abs:

@@ -258,7 +258,7 @@ def reference_run(
             if aux_since_t == 0:
                 state_size = node_count(t)
                 if state_size > machines.MAX_STATE:
-                    return Overflow(t, t_steps, frozen(), aux_steps)
+                    return Overflow(t, t_steps, aux_steps, frozen())
                 burst_cap = state_size * state_size // 4
             if aux_since_t >= burst_cap:
                 family = "i" if contract_aux is _ref_contract_i else "j"
@@ -275,7 +275,7 @@ def reference_run(
             continue
         if isinstance(base, Abs):
             if t_steps >= fuel:
-                return FuelExhausted(t, t_steps, frozen(), aux_steps)
+                return FuelExhausted(t, t_steps, aux_steps, frozen())
             before = t
             t = _ref_contract_t(binders, base, args)
             t_steps += 1

@@ -24,8 +24,7 @@ from pathlib import Path
 import pytest
 
 from lambdah.equivalence import (
-    Diverged,
-    EMismatch,
+    LockstepVerdict,
     lemma_suite,
     lockstep,
     read_corpus,
@@ -143,8 +142,8 @@ def test_lockstep_runs_agree_at_every_checkpoint():
     checkpoints = stepped = 0
     for t in terms:
         report = lockstep(t, 100)
-        assert not isinstance(report.verdict, EMismatch), format_term(t)
-        assert not isinstance(report.verdict, Diverged), format_term(t)
+        assert report.verdict is not LockstepVerdict.IMAGE_MISMATCH, format_term(t)
+        assert report.verdict is not LockstepVerdict.DIVERGED, format_term(t)
         assert all(cp.equal for cp in report.checkpoints), format_term(t)
         checkpoints += len(report.checkpoints)
         if report.t_steps_i:

@@ -11,8 +11,9 @@ import pytest
 
 import lambdah
 from lambdah.cli import entry, main
-from lambdah.equivalence import BothHnf, BothRunning, Diverged, EMismatch, LockstepReport
+from lambdah.equivalence import LockstepReport, LockstepVerdict, read_corpus
 from lambdah.syntax import format_term, parse_term
+from oracles import state_budget
 
 
 def lines(capsys):
@@ -98,6 +99,42 @@ def test_lockstep_readme_transcript(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "options, report",
+    [(["--json"], "lockstep-contexts.jsonl"), ([], "lockstep-contexts.txt")],
+    ids=["json", "text"],
+)
+def test_lockstep_prints_the_committed_curated_reports(capsys, options, report):
+    # every checkpoint and verdict of the curated contexts, as
+    # `lambdah lockstep CONTEXT --max-t 20` prints them one after another
+    data = Path(__file__).parent / "data"
+    for entry in read_corpus(data / "contexts.txt"):
+        assert main(["lockstep", entry.text, "--max-t", "20", *options]) == 0
+    assert capsys.readouterr().out == (data / report).read_text(encoding="utf-8")
+
+
+def test_lockstep_prints_the_verdicts_a_state_budget_reaches(capsys):
+    # the duplicator's J side outgrows 64 nodes at its fifth t-step;
+    # under 13 nodes the J side of the second term overflows right
+    # after the I side halts
+    image = "(\\x.x x) (\\y.y y)"
+    with state_budget(64):
+        assert main(["lockstep", "H (\\x.x x) (\\x.x x)"]) == 0
+    assert lines(capsys) == [
+        *(f"t-step {k}: {image} == {image}" for k in range(1, 5)),
+        "verdict: both-running (t-steps 5/5)",
+    ]
+    with state_budget(13):
+        assert main(["lockstep", "H H (\\x.x x (\\y.H)) H"]) == 1
+        assert lines(capsys) == [
+            "verdict: diverged (one side halted at t-step 1) (t-steps 1/1)"
+        ]
+        assert main(["lockstep", "H H (\\x.x x (\\y.H)) H", "--json"]) == 1
+    assert lines(capsys) == [
+        json.dumps({"verdict": "diverged", "t_steps_I": 1, "t_steps_J": 1})
+    ]
+
+
 def test_lockstep_json(capsys):
     assert main(["lockstep", "H (\\x.x) y", "--json"]) == 0
     first, last = (json.loads(line) for line in lines(capsys))
@@ -108,37 +145,42 @@ def test_lockstep_json(capsys):
 def test_lockstep_exit_code_on_a_bad_verdict(capsys, monkeypatch):
     # the comparison itself never fails on real input, so stub the report
     def fake(term, max_t):
-        return LockstepReport(term, (), EMismatch(0), 0, 0, 0, 0)
+        return LockstepReport((), LockstepVerdict.IMAGE_MISMATCH, 0, 0, 0, 0, 0)
 
     monkeypatch.setattr("lambdah.cli.lockstep", fake)
     assert main(["lockstep", "H x"]) == 1
     assert "image mismatch at t-step 0" in capsys.readouterr().out
 
     def fake_diverged(term, max_t):
-        return LockstepReport(term, (), Diverged(2), 3, 2, 0, 0)
+        return LockstepReport((), LockstepVerdict.DIVERGED, 2, 3, 2, 0, 0)
 
     monkeypatch.setattr("lambdah.cli.lockstep", fake_diverged)
     assert main(["lockstep", "H x"]) == 1
-    assert "diverged" in capsys.readouterr().out
+    assert lines(capsys) == ["verdict: diverged (one side halted at t-step 2) (t-steps 3/2)"]
 
 
 def test_lockstep_json_names_every_verdict(capsys, monkeypatch):
-    # one JSON word per verdict, whatever the text line says after it
+    # one JSON word per verdict, whatever the text line says after it,
+    # and the enum reads each word back as its member
     cases = [
-        (BothHnf(), "both-hnf", 0),
-        (BothRunning(), "both-running", 0),
-        (Diverged(2), "diverged", 1),
-        (EMismatch(0), "image-mismatch", 1),
+        (LockstepVerdict.BOTH_HNF, None, "both-hnf", 0),
+        (LockstepVerdict.BOTH_RUNNING, None, "both-running", 0),
+        (LockstepVerdict.DIVERGED, 2, "diverged", 1),
+        (LockstepVerdict.IMAGE_MISMATCH, 0, "image-mismatch", 1),
     ]
-    for verdict, word, code in cases:
+    assert [verdict for verdict, *_ in cases] == list(LockstepVerdict)
+    for verdict, step, word, code in cases:
+        assert LockstepVerdict(word) is verdict
         monkeypatch.setattr(
             "lambdah.cli.lockstep",
-            lambda term, max_t: LockstepReport(term, (), verdict, 3, 2, 0, 0),
+            lambda term, max_t: LockstepReport((), verdict, step, 3, 2, 0, 0),
         )
         assert main(["lockstep", "H x", "--json"]) == code
         assert lines(capsys) == [
             json.dumps({"verdict": word, "t_steps_I": 3, "t_steps_J": 2})
         ]
+        assert main(["lockstep", "H x"]) == code
+        capsys.readouterr()
 
 
 # ---------- fmt ----------

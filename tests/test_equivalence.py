@@ -12,10 +12,7 @@ import pytest
 import lambdah.equivalence
 
 from lambdah.equivalence import (
-    BothHnf,
-    BothRunning,
-    Diverged,
-    EMismatch,
+    LockstepVerdict,
     agreement_row_json,
     agreement_tally,
     corpus_lines,
@@ -50,7 +47,7 @@ def term(text, frees=None):
 
 def test_lockstep_without_h_is_plain_head_reduction_twice():
     report = lockstep(term("(\\x.x) y"), 10)
-    assert report.verdict == BothHnf()
+    assert (report.verdict, report.step) == (LockstepVerdict.BOTH_HNF, None)
     assert report.t_steps_i == report.t_steps_j == 1
     assert report.aux_steps_i == report.aux_steps_j == 0
     assert len(report.checkpoints) == 1
@@ -63,7 +60,7 @@ def test_lockstep_without_h_is_plain_head_reduction_twice():
 def test_lockstep_worked_example_with_an_applied_h():
     # I-side: drop H, then beta.  J-side: wrap, beta, then drop.
     report = lockstep(term("H (\\x.x) y"), 10)
-    assert report.verdict == BothHnf()
+    assert (report.verdict, report.step) == (LockstepVerdict.BOTH_HNF, None)
     assert report.t_steps_i == report.t_steps_j == 1
     assert report.aux_steps_i == 1
     assert report.aux_steps_j == 2
@@ -81,7 +78,7 @@ def test_lockstep_counts_match_the_machines():
 
 def test_lockstep_reports_both_running_on_divergence():
     report = lockstep(App(H, OMEGA), 5)
-    assert report.verdict == BothRunning()
+    assert (report.verdict, report.step) == (LockstepVerdict.BOTH_RUNNING, None)
     assert report.t_steps_i == report.t_steps_j == 5
     assert len(report.checkpoints) == 5
     assert all(cp.equal for cp in report.checkpoints)
@@ -93,7 +90,7 @@ def test_lockstep_ends_both_running_when_a_side_outgrows_the_budget():
     # checkpoint, every completed one compares equal.
     with state_budget(64):
         report = lockstep(term("H (\\x.x x) (\\x.x x)"), 100)
-    assert report.verdict == BothRunning()
+    assert (report.verdict, report.step) == (LockstepVerdict.BOTH_RUNNING, None)
     assert report.t_steps_i == report.t_steps_j == 5
     assert len(report.checkpoints) == 4
     assert all(cp.equal for cp in report.checkpoints)
@@ -108,12 +105,12 @@ def test_lockstep_reports_a_one_sided_halt_as_diverged(monkeypatch):
     def jt_never_halts(t, strategy, fuel, *args, **kwargs):
         out = real_run(t, strategy, fuel, *args, **kwargs)
         if strategy is Strategy.JT and isinstance(out, Hnf):
-            return FuelExhausted(out.result, out.t_steps, out.trace, out.aux_steps)
+            return FuelExhausted(out.result, out.t_steps, out.aux_steps, out.trace)
         return out
 
     monkeypatch.setattr("lambdah.equivalence.run", jt_never_halts)
     report = lockstep(term("H (\\x.x) y"), 10)
-    assert report.verdict == Diverged(1)
+    assert (report.verdict, report.step) == (LockstepVerdict.DIVERGED, 1)
     assert (report.t_steps_i, report.t_steps_j) == (1, 1)
     assert (report.aux_steps_i, report.aux_steps_j) == (1, 2)
     [cp] = report.checkpoints
@@ -125,11 +122,12 @@ def test_lockstep_reports_diverged_when_the_running_side_outgrows_the_budget():
     # over the budget with a burst still pending
     with state_budget(13):
         report = lockstep(term("H H (\\x.x x (\\y.H)) H"), 10)
-    assert report.verdict == Diverged(1)
+    assert (report.verdict, report.step) == (LockstepVerdict.DIVERGED, 1)
     assert (report.t_steps_i, report.t_steps_j) == (1, 1)
     assert (report.aux_steps_i, report.aux_steps_j) == (4, 3)
     assert report.checkpoints == ()
-    assert lockstep(term("H H (\\x.x x (\\y.H)) H"), 10).verdict == BothHnf()
+    report = lockstep(term("H H (\\x.x x (\\y.H)) H"), 10)
+    assert (report.verdict, report.step) == (LockstepVerdict.BOTH_HNF, None)
 
 
 def test_lockstep_over_budget_input_takes_no_steps():
@@ -138,7 +136,7 @@ def test_lockstep_over_budget_input_takes_no_steps():
         tower = App(H, tower)
     with state_budget(10):
         report = lockstep(tower, 10)
-    assert report.verdict == BothRunning()
+    assert (report.verdict, report.step) == (LockstepVerdict.BOTH_RUNNING, None)
     assert report.t_steps_i == report.t_steps_j == 0
     assert report.checkpoints == ()
 
@@ -146,14 +144,16 @@ def test_lockstep_over_budget_input_takes_no_steps():
 def test_lockstep_images_agree_on_enumerated_terms():
     for t in enumerate_terms(5, free_vars=1):
         report = lockstep(t, 30)
-        assert not isinstance(report.verdict, (Diverged, EMismatch)), t
+        assert report.verdict in (LockstepVerdict.BOTH_HNF, LockstepVerdict.BOTH_RUNNING), t
+        assert report.step is None, t
 
 
 def test_lockstep_flags_mismatched_final_images_if_extraction_is_broken(monkeypatch):
     # with the eraser stubbed out the settled states differ by a literal H
     monkeypatch.setattr("lambdah.equivalence.extract", lambda t: t)
     report = lockstep(term("H x y"), 10)
-    assert report.verdict == EMismatch(0)  # both sides settle straight to hnf
+    # both sides settle straight to hnf
+    assert (report.verdict, report.step) == (LockstepVerdict.IMAGE_MISMATCH, 0)
     assert report.checkpoints == ()
 
 
@@ -161,7 +161,7 @@ def test_lockstep_flags_a_checkpoint_mismatch_if_extraction_is_broken(monkeypatc
     # one t-step in, the J-side still carries an (H _) wrapper on an argument
     monkeypatch.setattr("lambdah.equivalence.extract", lambda t: t)
     report = lockstep(term("H (\\x.x) y z"), 10)
-    assert report.verdict == EMismatch(1)
+    assert (report.verdict, report.step) == (LockstepVerdict.IMAGE_MISMATCH, 1)
     assert not report.checkpoints[-1].equal
 
 
@@ -246,7 +246,7 @@ def test_context_agreement_reports_a_machine_that_disagrees(monkeypatch, stalled
     # on H w itself is made to run out of fuel instead
     def run_stalling(t, strategy, fuel, **kwargs):
         if strategy is stalled:
-            return FuelExhausted(t, fuel)
+            return FuelExhausted(t, fuel, 0)
         return run(t, strategy, fuel, **kwargs)
 
     monkeypatch.setattr("lambdah.equivalence.run", run_stalling)

@@ -174,7 +174,7 @@ def test_run_pure_strategies_stop_when_head_is_not_applied_h():
     assert format_term(out.result, ("x", "z")) == "x ((\\y.y) z)"
     # a pure run does not take the waiting t-step: it is out of fuel
     t = term("(\\x.x) (H y)")
-    assert run(t, Strategy.JT, 0) == FuelExhausted(t, 0, None, 0)
+    assert run(t, Strategy.JT, 0) == FuelExhausted(t, 0, 0, None)
 
 
 def test_run_pure_j_terminates_within_h_times_a():
@@ -356,7 +356,7 @@ def test_over_budget_input_overflows_before_any_step():
     for _ in range(20):
         tower = App(H, tower)
     with state_budget(10):
-        assert run(tower, Strategy.JT, 0) == Overflow(tower, 0, None)
+        assert run(tower, Strategy.JT, 0) == Overflow(tower, 0, 0, None)
 
 
 def test_t_only_reduction_ignores_the_state_budget():
@@ -583,7 +583,11 @@ def test_an_outcome_built_by_run_keeps_its_dataclass_contract(
     text, strategy, fuel, budget, cls, keep_trace
 ):
     # run sets the slots of its records directly; each must still be the
-    # record its constructor builds, and as frozen
+    # record its constructor builds, and as frozen.  Every outcome class
+    # lists its counts and trace in one order after its term.
+    for outcome_cls in (Hnf, FuelExhausted, Overflow):
+        names = [f.name for f in dataclasses.fields(outcome_cls)]
+        assert names[1:] == ["t_steps", "aux_steps", "trace"], outcome_cls
     with state_budget(budget):
         out = run(term(text), strategy, fuel, keep_trace=keep_trace)
         untraced = run(term(text), strategy, fuel)
@@ -593,6 +597,7 @@ def test_an_outcome_built_by_run_keeps_its_dataclass_contract(
         fields = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
         built = record.__class__(**fields)
         assert record == built and built == record
+        assert record.__class__(*fields.values()) == record
         assert hash(record) == hash(built)
         assert repr(record) == repr(built)
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -87,4 +87,4 @@ def test_readme_library_block():
             shown.append(repr(value))
         else:
             exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
-    assert shown == ["'y'", "True", "True", "BothHnf()"]
+    assert shown == ["'y'", "True", "True", "'both-hnf'"]

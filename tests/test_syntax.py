@@ -290,6 +290,21 @@ def test_format_names_undeclared_free_indices():
     assert format_term(App(Var(0), Var(2))) == "v0 v2"
 
 
+@pytest.mark.parametrize(
+    "declared", [("v1",), ("v2", "v2v"), ("x", "v3", "v2")], ids=["v1", "v2-v2v", "x-v3-v2"]
+)
+def test_a_synthetic_free_name_never_repeats_a_declared_one(declared):
+    # a free index past the declared names prints as v{j}, lengthened
+    # while that is declared, so every index keeps a name of its own
+    t = App(App(App(App(Var(0), Var(1)), Var(2)), Var(3)), Abs(App(Var(0), Var(3))))
+    text = format_term(t, declared)
+    term, names = parse_term(text)
+    assert term == t, text
+    assert names[: len(declared)] == declared
+    assert parse_term(text, names)[0] == t
+    assert format_term(App(Var(0), Var(1)), ["v1"]) == "v1 v1v"
+
+
 def test_format_and_parse_are_inverse_on_enumerated_terms():
     for free in (0, 2):
         names = tuple(f"v{i}" for i in range(free))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambdah.equivalence import BothHnf, BothRunning, lockstep, theorem_check
+from lambdah.equivalence import LockstepVerdict, lockstep, theorem_check
 from lambdah.extraction import extract
 from lambdah.gen import enumerate_terms, term_stream, wrap_applied_h
 from lambdah.machines import Hnf, Strategy, run, t_step
@@ -390,7 +390,8 @@ def test_deep_terms_pass_every_layer_without_recursion(
         assert outcomes[strategy] == reference_run(a, strategy, 2)
     report = lockstep(a, 2)
     assert all(cp.equal for cp in report.checkpoints)
-    assert report.verdict in (BothHnf(), BothRunning())
+    assert report.verdict in (LockstepVerdict.BOTH_HNF, LockstepVerdict.BOTH_RUNNING)
+    assert report.step is None
     # the row's two substituted sides run without recursion too; at J's
     # full share of the fuel the tower's U[J/H] side, J nested 100,000
     # deep, would take 38 more beta steps over that nesting for nothing
