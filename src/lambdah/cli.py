@@ -204,21 +204,19 @@ def _nat(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lambdah",
-        description="head reduction workbench for lambda terms with the constant H",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_fmt(sub) -> None:
     p = sub.add_parser("fmt", help="reformat a file of terms (one per line)")
     p.add_argument("file", help="input path, or - for stdin")
     p.set_defaults(fn=_cmd_fmt)
 
+
+def _add_extract(sub) -> None:
     p = sub.add_parser("extract", help="print the extraction image of a term")
     p.add_argument("term")
     p.set_defaults(fn=_cmd_extract)
 
+
+def _add_reduce(sub) -> None:
     p = sub.add_parser("reduce", help="run a head machine on a term")
     p.add_argument("term")
     p.add_argument(
@@ -233,12 +231,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_reduce)
 
+
+def _add_lockstep(sub) -> None:
     p = sub.add_parser("lockstep", help="compare the IT and JT machines")
     p.add_argument("term")
     p.add_argument("--max-t", type=_nat, default=100, help="paired t-step budget")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_lockstep)
 
+
+def _add_check(sub) -> None:
     p = sub.add_parser("check", help="run the invariant suite over generated terms")
     p.add_argument(
         "--suite",
@@ -253,17 +255,49 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-t", type=_nat, default=50)
     p.set_defaults(fn=_cmd_check)
 
+
+def _add_corpus(sub) -> None:
     p = sub.add_parser("corpus", help="context agreement report for a corpus file")
     p.add_argument("file")
     p.add_argument("--fuel", type=_nat, default=10000)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_corpus)
 
+
+# each command's subparser, in the order that help and usage list them
+_COMMANDS = {
+    "fmt": _add_fmt,
+    "extract": _add_extract,
+    "reduce": _add_reduce,
+    "lockstep": _add_lockstep,
+    "check": _add_check,
+    "corpus": _add_corpus,
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone when it names one, else of all six
+    (for help, an option, or an unknown or missing command)."""
+    parser = argparse.ArgumentParser(
+        prog="lambdah",
+        description="head reduction workbench for lambda terms with the constant H",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    if command in _COMMANDS:
+        # an unrecognised argument after the command is reported under
+        # this parser's usage line, which still names all six
+        sub.metavar = "{" + ",".join(_COMMANDS) + "}"
+        _COMMANDS[command](sub)
+    else:
+        for add in _COMMANDS.values():
+            add(sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

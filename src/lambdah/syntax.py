@@ -80,8 +80,15 @@ _SKIP = r"[ \t\r\n]*(?:#[^\n]*(?![^\n])[ \t\r\n]*)*"
 # matched as plain literals, a lambda or other punctuation mark, a word
 # (letters and digits, the class of str.isalnum), any other single
 # character, or the empty string once, at the end of the text.  A run
-# holds len(token) // 3 openers or len(token) closers.
-_TOKEN = re.compile(_SKIP + r"((?:H \()+|\)+|[\\λ.(]|[^\W_]+|[^ \t\r\n#]|\Z)")
+# holds len(token) // 3 openers or len(token) closers.  The opener run
+# reads eight openers per repetition before it reads single ones: the
+# same greedy match as (?:H \()+, with an eighth of the repetitions over
+# a printed tower.
+_TOKEN = re.compile(
+    _SKIP
+    + r"(H \((?:H \(H \(H \(H \(H \(H \(H \(H \()*(?:H \()*"
+    + r"|\)+|[\\λ.(]|[^\W_]+|[^ \t\r\n#]|\Z)"
+)
 
 # Token kinds.  The first five are the tokens an atom can start with.
 _IDENT, _CONSTH, _UPPER, _HRUN, _LPAREN, _LAMBDA, _DOT, _RPAREN, _EOF, _BAD = range(10)
@@ -101,6 +108,11 @@ def _word_kind(word: str) -> int:
     if not c.isalpha():  # a digit, or a character outside the grammar
         return _BAD
     return _IDENT if c.islower() else _UPPER
+
+
+def _is_ident(name: str) -> bool:
+    """Whether the tokenizer reads ``name`` as one identifier."""
+    return name.isalnum() and _word_kind(name) == _IDENT
 
 
 def _error(text: str, index: int, message: str, piece: int = 0) -> ParseError:
@@ -323,10 +335,17 @@ def format_term(t: Term, free_vars: Sequence[str] = ()) -> str:
     a synthetic ``v{i}`` beyond the declared list, followed by as many
     v's as keep it from being a declared name.  Binder names are drawn
     from a fixed supply in pre-order, skipping the declared names, so the
-    text re-parses to exactly ``t``.
+    text re-parses to exactly ``t``.  A declared name that is not an
+    identifier, or that repeats an earlier one, raises ValueError.
     """
     free = list(free_vars)
-    declared = set(free)
+    declared: set[str] = set()
+    for name in free:
+        if not _is_ident(name):
+            raise ValueError(f"declared free name is not an identifier: {name!r}")
+        if name in declared:
+            raise ValueError(f"declared free name repeats: {name!r}")
+        declared.add(name)
     supply = _binder_names(declared)
     env: list[str] = []  # names of the binders in scope, innermost last
     out: list[str] = []

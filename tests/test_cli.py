@@ -1,5 +1,7 @@
 """End-to-end tests for the command line interface via main(argv)."""
 
+import argparse
+import contextlib
 import io
 import json
 import os
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import lambdah
+from lambdah import cli
 from lambdah.cli import entry, main
 from lambdah.equivalence import LockstepReport, LockstepVerdict, read_corpus
 from lambdah.syntax import format_term, parse_term
@@ -425,6 +428,87 @@ def test_budgets_and_counts_take_only_non_negative_integers(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"invalid non-negative int value: '{argv[-1]}'" in captured.err
+
+
+# ---------- the parser of one command ----------
+
+# per command: its help, a bad option value (an unknown option where it
+# takes none, which the top-level parser reports with its own usage
+# line) and a missing positional where it has one
+_PARSER_CASES = [
+    ["fmt", "--help"],
+    ["fmt", "terms.txt", "--fuel", "1"],
+    ["fmt"],
+    ["extract", "--help"],
+    ["extract", "x", "--json"],
+    ["extract"],
+    ["reduce", "--help"],
+    ["reduce", "x", "--strategy", "bogus"],
+    ["reduce"],
+    ["lockstep", "--help"],
+    ["lockstep", "x", "--max-t", "ten"],
+    ["lockstep"],
+    ["check", "--help"],
+    ["check", "--suite", "bogus"],
+    ["corpus", "--help"],
+    ["corpus", "contexts.txt", "--fuel", "ten"],
+    ["corpus", "contexts.txt", "--j-fuel-ratio", "1"],
+    ["corpus"],
+    [],
+    ["--help"],
+    ["-h", "corpus"],
+    ["solvable"],
+]
+
+
+def _parse_printing(parser, argv, capsys):
+    try:
+        parser.parse_args(argv)
+    except SystemExit as exc:
+        status = exc.code
+    else:
+        status = None
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", _PARSER_CASES, ids=" ".join)
+def test_the_parser_of_one_command_prints_what_the_full_parser_prints(
+    argv, capsys, monkeypatch
+):
+    # argparse lays out help by the terminal width and by Python version:
+    # compare the two parsers in this process instead of frozen text
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _parse_printing(cli._build_parser(), argv, capsys)
+    assert full[0] == (0 if {"-h", "--help"} & set(argv) else 2)
+    mine = _parse_printing(cli._build_parser(argv[0] if argv else None), argv, capsys)
+    assert mine == full
+    assert main(argv) == full[0]
+    assert capsys.readouterr() == full[1:]
+
+
+def test_a_run_builds_only_the_parser_of_its_command(monkeypatch, tmp_path):
+    counts = {"parsers": 0, "arguments": 0}
+    init = argparse.ArgumentParser.__init__
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counting_init(self, *args, **kwargs):
+        counts["parsers"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_add_argument(self, *args, **kwargs):
+        counts["arguments"] += 1
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting_add_argument)
+    path = tmp_path / "contexts.txt"
+    path.write_text("H x\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["corpus", str(path), "--fuel", "50", "--json"]) == 0
+        assert counts == {"parsers": 2, "arguments": 5}
+        assert main(["--help"]) == 0
+    assert counts == {"parsers": 2 + 7, "arguments": 5 + 27}
 
 
 def test_broken_pipe_is_not_an_error(monkeypatch):

@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from lambdah import syntax
 from lambdah.gen import enumerate_terms, term_stream, wrap_applied_h
+from lambdah.machines import Strategy, run
 from lambdah.syntax import (
     BUILTINS,
     ParseError,
@@ -245,6 +247,36 @@ def test_a_run_of_printed_openers_then_a_long_gap_tokenizes_in_linear_time():
     assert (t, names) == (Tower(n, Var(0)), ("x",))
 
 
+# the tokenizer's pattern when its opener run read one "H (" at a time
+_SINGLE_OPENER_TOKEN = re.compile(
+    syntax._SKIP + r"((?:H \()+|\)+|[\\λ.(]|[^\W_]+|[^ \t\r\n#]|\Z)"
+)
+
+
+def _tower_texts() -> list[str]:
+    rng = random.Random(0)
+    texts = []
+    for n in range(1, 41):
+        texts.append("H " + "(H " * (n - 1) + "x" + ")" * (n - 1))
+        texts.append("H(" * n + "x" + ")" * n)
+        openers = "".join(rng.choice(["H (", "H(", "H  ("]) for _ in range(n))
+        texts.append("f " + openers + "x" + ")" * n)
+    return texts
+
+
+def test_openers_read_eight_at_a_time_give_the_single_opener_tokens():
+    # the duplicator's JT states, as a trace-roundtrip reads them back
+    duplicator = parse_term("H (\\a.a a) (\\b.b b)")[0]
+    outcome = run(duplicator, Strategy.JT, 1000, keep_trace=True)
+    states = [format_term(entry.after) for entry in outcome.trace]
+    assert len(states) == 1035
+    contexts = (Path(__file__).parent / "data" / "contexts.txt").read_text(
+        encoding="utf-8"
+    )
+    for text in [*states, contexts, *_tower_texts()]:
+        assert syntax._TOKEN.findall(text) == _SINGLE_OPENER_TOKEN.findall(text)
+
+
 def test_a_run_that_mixes_spellings_builds_one_tower():
     openers = "H (H(H (\nH (# a comment ( H (\nH  (H\n("
     closers = "))\n) # a comment )\n)) )"
@@ -303,6 +335,32 @@ def test_a_synthetic_free_name_never_repeats_a_declared_one(declared):
     assert names[: len(declared)] == declared
     assert parse_term(text, names)[0] == t
     assert format_term(App(Var(0), Var(1)), ["v1"]) == "v1 v1v"
+
+
+@pytest.mark.parametrize(
+    "t, declared, bad",
+    [
+        # the combinator, the constant, an unknown constant, a word the
+        # tokenizer reads as two tokens, two words, and a repeated name
+        (App(Var(0), Abs(Var(1))), ["I"], "I"),
+        (App(Var(0), Abs(Var(1))), ["H"], "H"),
+        (App(Var(0), Abs(Var(1))), ["X"], "X"),
+        (App(Var(0), Abs(Var(1))), ["_a"], "_a"),
+        (App(Var(0), Abs(Var(1))), ["a b"], "a b"),
+        (App(Var(0), Var(1)), ["x", "x"], "x"),
+    ],
+)
+def test_format_rejects_a_declared_name_that_would_not_read_back(t, declared, bad):
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        format_term(t, declared)
+
+
+@pytest.mark.parametrize("name", ["x1", "é"])
+def test_format_takes_any_identifier_as_a_declared_name(name):
+    t = App(Var(0), Abs(Var(1)))
+    text = format_term(t, [name])
+    assert text == f"{name} (\\x.{name})"
+    assert parse_term(text, [name])[0] == t
 
 
 def test_format_and_parse_are_inverse_on_enumerated_terms():
